@@ -9,12 +9,10 @@ zero solution, the second a single line, parameterized by h, with
     F2 = h P,  F3 = -i h P,  D^s = -(2h/3) Upsilon_s P,  G1 = i h Id.
 """
 
-import itertools
-
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, frob, all_zero
+from .tensors import zeros, conj_arr, pmat, eye, frob
 from .irrep import upsilons
 from .linalg import SparseEliminator
 

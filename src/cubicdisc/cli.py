@@ -7,10 +7,23 @@ or runtime errors.
 import argparse
 import datetime
 import json
+import math
 import sys
 
 from . import __version__
 from .suites import SUITES, run_suite
+
+
+def _positive_tol(text):
+    """argparse type for --tol: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number greater than 0, got %r" % text)
+    return value
 
 
 def build_parser():
@@ -21,7 +34,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
     v.add_argument("--backend", choices=("exact", "float"), default="exact")
-    v.add_argument("--tol", type=float, default=1e-9,
+    v.add_argument("--tol", type=_positive_tol, default=1e-9,
                    help="residual tolerance for the float backend")
     v.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized checks")

@@ -11,8 +11,8 @@ the pair antisymmetries and reality.
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, conj_arr, pmat, frob, all_zero, slot_contract,
-                      jmap4, is_totally_symmetric, sym4, FLIP, g8mat, jmats)
+from .tensors import (zeros, pmat, frob, all_zero, slot_contract, jmap4,
+                      is_totally_symmetric, FLIP, g8mat, jmats)
 from . import sp2
 from . import linalg
 
@@ -175,15 +175,7 @@ def eigen_multiplicity(T, lam, bk):
     M = T.copy()
     for k in range(n):
         M[k, k] = M[k, k] - lam
-    # Split into real and imaginary parts so rank is taken over the reals.
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(bk.re(M[i, j]))
-            row.append(bk.im(M[i, j]))
-        rows.append(row)
-    return n - linalg.rank(rows, bk)
+    return n - linalg.rank([linalg.real_flat(row, bk) for row in M], bk)
 
 
 def dagger_residual(L, bk):

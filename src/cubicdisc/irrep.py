@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero, sym4
+from .tensors import zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero, jmap4
 from . import sp2
 from . import linalg
 from .hk import SymQuartic
@@ -160,7 +160,7 @@ def upsilon_lemma_residuals(bk=EXACT):
 
     r = 0.0
     for Us in U:
-        r = max(r, frob(Us - Us.T, bk), frob(Us - sp2.jmap2(Us, bk), bk))
+        r = max(r, frob(Us - Us.T, bk), frob(Us - jmap4(Us, bk), bk))
     out["symmetric_and_real"] = r
 
     r = 0.0
@@ -339,12 +339,11 @@ def _kron(A, B, bk):
     return out
 
 
-def _bracket_closure_check(gens, bk, scale):
-    res = []
-    res.append(gens[0] @ gens[1] - gens[1] @ gens[0] - gens[2])
-    res.append(gens[1] @ gens[2] - gens[2] @ gens[1] - gens[0])
-    res.append(gens[2] @ gens[0] - gens[0] @ gens[2] - gens[1])
-    return all(all_zero(r, bk, scale=scale) for r in res)
+def closes_as_sp1(gens, bk, scale):
+    """[G_1, G_2] = G_3 and cyclic, for a triple of square matrices."""
+    return all(all_zero(gens[i] @ gens[j] - gens[j] @ gens[i] - gens[k], bk,
+                        scale=scale)
+               for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 
 
 class So4Module:
@@ -359,11 +358,11 @@ class So4Module:
     def check_closure(self):
         bk = self.bk
         scale = max(frob(self.e_gens[0], bk), 1.0)
-        if not _bracket_closure_check(self.e_gens, bk, scale):
+        if not closes_as_sp1(self.e_gens, bk, scale):
             raise ValueError("first factor generators do not close as sp(1)")
         hscale = max(frob(self.h_gens[0], bk), 1.0)
         if any(frob(H, bk) > 0 for H in self.h_gens):
-            if not _bracket_closure_check(self.h_gens, bk, hscale):
+            if not closes_as_sp1(self.h_gens, bk, hscale):
                 raise ValueError("second factor generators do not close as sp(1)")
         for E in self.e_gens:
             for H in self.h_gens:

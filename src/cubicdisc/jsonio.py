@@ -8,10 +8,9 @@ four-letter index words; coframes store the coefficient list of each
 differential.
 """
 
+import itertools
 import json
 from fractions import Fraction
-
-import numpy as np
 
 from .scalars import EXACT, ExactScalar
 from .tensors import zeros
@@ -58,12 +57,24 @@ def quartic_to_json(q):
     return {"kind": "quartic", "components": dict(sorted(out.items()))}
 
 
+def _index(key):
+    """The 0-based index tuple of a component key: exactly four digits 1-4."""
+    if not (isinstance(key, str) and len(key) == 4
+            and all(ch in "1234" for ch in key)):
+        raise ValueError("component key %r is not four digits 1-4" % (key,))
+    return tuple(int(ch) - 1 for ch in key)
+
+
 def quartic_from_json(data, bk=EXACT):
-    import itertools
     S = zeros((4, 4, 4, 4), bk)
+    seen = {}
     for key, val in data["components"].items():
-        idx = tuple(int(ch) - 1 for ch in key)
+        idx = _index(key)
         v = scalar_from_json(val, bk)
+        first = seen.setdefault(tuple(sorted(idx)), (key, v))
+        if first[1] != v:
+            raise ValueError("quartic keys %r and %r are permutations of each "
+                             "other but have different values" % (first[0], key))
         for perm in set(itertools.permutations(idx)):
             S[perm] = v
     return SymQuartic(S, bk)
@@ -86,9 +97,10 @@ def hk_to_json(K):
 def hk_from_json(data, bk=EXACT):
     Kmix = zeros((4, 4, 4, 4), bk)
     for key, val in data["components"].items():
-        idx = tuple(int(ch) - 1 for ch in key)
-        Kmix[idx] = scalar_from_json(val, bk)
-    return HKTensor(Kmix, bk)
+        Kmix[_index(key)] = scalar_from_json(val, bk)
+    K = HKTensor(Kmix, bk)
+    K.validate()
+    return K
 
 
 def coframe_to_json(cs):

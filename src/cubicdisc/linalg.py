@@ -12,9 +12,17 @@ from .scalars import ExactBackend
 
 
 def _as_rows(M):
-    if isinstance(M, np.ndarray):
-        return [list(row) for row in M]
     return [list(row) for row in M]
+
+
+def real_flat(A, bk):
+    """The entries of A as one flat list, each split into its real and
+    imaginary part, so that ranks are taken over the reals."""
+    out = []
+    for x in np.asarray(A, dtype=object).flat:
+        out.append(bk.re(x))
+        out.append(bk.im(x))
+    return out
 
 
 def _absval(bk, x):

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, pmat, eye, g8mat, jmats, frob, all_zero, FLIP
+from .tensors import zeros, pmat, g8mat, jmats, frob, FLIP
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
@@ -311,9 +311,11 @@ def c_parameter(cs):
 
 
 def scalar_curvature_report(cs):
-    """The traced scalar curvature together with the two closed-form
-    candidates derived from the normalization constant C; the candidates are
-    reported side by side and not reconciled here."""
+    """The traced scalar curvature together with two closed-form candidates.
+
+    The R0 route -h Scal(R0) agrees with the trace.  The formula 128C/3 in
+    the normalization constant C gives 2/3 of the trace (32 against 48 on
+    the compact model); it is reported as a known deviation, not checked."""
     bk = cs.bk
     R = curvature_tensor(cs)
     C = c_parameter(cs)

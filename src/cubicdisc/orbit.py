@@ -9,17 +9,19 @@ elements for moving along the orbit, and reconstruction of K from a frame
 triple of endomorphisms.
 """
 
-import itertools
 import random
 
 import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero,
-                      slot_contract, sym4, jmap4, FLIP)
+                      slot_contract, sym4, jmap4)
 from . import sp2
 from . import linalg
-from .hk import HKTensor, SymQuartic, kappa, kappa_inv, t_k, t_k_apply
+from . import irrep
+# t_k_apply is re-exported for callers that reach it as orbit.t_k_apply.
+from .hk import (HKTensor, SymQuartic, kappa, kappa_inv, t_k, t_k_apply,  # noqa: F401
+                 lie_derivative_full8)
 
 
 class CdReport:
@@ -40,6 +42,10 @@ def is_cd_theorem(K):
     """Operator-level test: (2T - 7)(2T + 3) = 0 and the bracket condition
 
     [T A, T B] - T[T A, B] = (3/2)(T[A, B] - [A, T B])  for all A, B in sp(2).
+
+    The condition is bilinear in (A, B), so it is evaluated once on every
+    ordered pair of dollar basis elements, as contractions of the 10x10
+    matrix T with the structure constants c of sp(2).
     """
     bk = K.bk
     T = t_k(K)
@@ -48,33 +54,17 @@ def is_cd_theorem(K):
     two = bk.rational(2)
     char = (T * two - I * bk.rational(7)) @ (T * two + I * bk.rational(3))
     scale = max(frob(T, bk) ** 2, 1.0)
-    char_ok = all_zero(char, bk, scale=scale)
-    char_res = frob(char, bk)
 
-    D = sp2.dollar_basis(bk)
+    c = sp2.structure_constants(bk)
     half3 = bk.rational(3, 2)
-    worst = 0.0
-    cond_ok = True
-    for i, j in itertools.combinations(range(len(D)), 2):
-        A, B = D[i], D[j]
-        TA = t_k_apply(K, A)
-        TB = t_k_apply(K, B)
-        lhs = sp2.bracket(TA, TB, bk) - t_k_apply(K, sp2.bracket(TA, B, bk))
-        rhs = (t_k_apply(K, sp2.bracket(A, B, bk)) - sp2.bracket(A, TB, bk)) * half3
-        res = lhs - rhs
-        worst = max(worst, frob(res, bk))
-        if not all_zero(res, bk, scale=scale):
-            cond_ok = False
-    return CdReport(char_ok and cond_ok,
-                    {"characteristic": char_res, "bracket_condition": worst})
-
-
-def _sym_first4(T, bk):
-    """Average a rank-6 array over the 24 permutations of its first 4 slots."""
-    total = zeros(T.shape, bk)
-    for perm in itertools.permutations(range(4)):
-        total = total + np.transpose(T, perm + (4, 5))
-    return total * bk.rational(1, 24)
+    cT = np.tensordot(c, T, axes=([1], [0]))       # [T D_i, D_j] at [k, j, i]
+    res = np.tensordot(cT, T, axes=([1], [0]))     # [T D_i, T D_j] at [k, i, j]
+    res = res - np.tensordot(T, np.transpose(cT, (0, 2, 1)) + c * half3,
+                             axes=([1], [0]))
+    res = res + np.tensordot(c, T, axes=([2], [0])) * half3
+    return CdReport(all_zero(char, bk, scale=scale) and all_zero(res, bk, scale=scale),
+                    {"characteristic": frob(char, bk),
+                     "bracket_condition": frob(res, bk)})
 
 
 def cd_condition_one_residual(S, bk):
@@ -101,7 +91,7 @@ def cd_condition_two_residual(S, bk):
     SP = np.tensordot(S, P, axes=0)                  # S[a,b,c,x] P[y,z]
     t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4)) * q34  # S[abcm] P[n,d]
     t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3)) * q34  # S[abcn] P[m,d]
-    return _sym_first4(t1 + t2 + t3, bk)
+    return sym4(t1 + t2 + t3, bk)
 
 
 def cd_averaged_residual(S, bk):
@@ -116,7 +106,7 @@ def cd_averaged_residual(S, bk):
     half = bk.rational(1, 2)
     t3 = np.transpose(PS, (0, 3, 4, 5, 1, 2)) * half      # P[a,m] S[n,b,c,d]
     t4 = np.transpose(PS, (0, 3, 4, 5, 2, 1)) * (-half)   # P[a,n] S[m,b,c,d]
-    return _sym_first4(t1 + t2 + t3 + t4, bk)
+    return sym4(t1 + t2 + t3 + t4, bk)
 
 
 def is_cd_coordinates(K_or_S, bk=None):
@@ -140,19 +130,12 @@ def is_cd_coordinates(K_or_S, bk=None):
 
 def quartic_action(S, X, bk):
     """Lie derivative of a lower-index quartic along the sp(2) element X."""
-    A = sp2.to_endo(X, bk)
-    out = zeros(S.shape, bk)
-    for axis in range(4):
-        out = out + slot_contract(S, axis, A)
-    return out
+    return lie_derivative_full8(S, sp2.to_endo(X, bk), bk)
 
 
-def _real_flat(A, bk):
-    out = []
-    for x in np.asarray(A, dtype=object).flat:
-        out.append(bk.re(x))
-        out.append(bk.im(x))
-    return out
+def _action_rows(S, bk):
+    """One real row per real-form generator X: the flattened action X.S."""
+    return [linalg.real_flat(quartic_action(S, X, bk), bk) for X in sp2.real_basis(bk)]
 
 
 def stabilizer(S, bk=EXACT):
@@ -163,16 +146,15 @@ def stabilizer(S, bk=EXACT):
     """
     if isinstance(S, SymQuartic):
         S = S.S
-    basis = sp2.real_basis(bk)
-    rows = [_real_flat(quartic_action(S, X, bk), bk) for X in basis]
+    rows = _action_rows(S, bk)
     # The action matrix has the ten generators as columns; stabilizer
     # coefficients are its nullspace.
-    cols = [[rows[k][m] for k in range(10)] for m in range(len(rows[0]))]
+    cols = [list(col) for col in zip(*rows)]
     null = linalg.nullspace(cols, bk)
     stab = []
     for v in null:
         X = zeros((4, 4), bk)
-        for c, B in zip(v, basis):
+        for c, B in zip(v, sp2.real_basis(bk)):
             X = X + B * bk.re(c)
         stab.append(X)
     return len(null), stab
@@ -180,20 +162,22 @@ def stabilizer(S, bk=EXACT):
 
 def span_rank(elements, bk):
     """Rank over the reals of a list of sp(2) elements (dollar coordinates)."""
-    rows = [_real_flat(sp2.dollar_coords(X, bk), bk) for X in elements]
+    rows = [linalg.real_flat(sp2.dollar_coords(X, bk), bk) for X in elements]
     return linalg.rank(rows, bk)
 
 
 def orbit_dimension(K):
-    """Dimension of the sp(2) (+) sp(1) orbit through K, via the rank of the
-    infinitesimal action on the full tensor."""
-    bk = K.bk
-    f = K.full8()
-    from .hk import lie_derivative_full8
-    gens = [sp2.endo_on_v(X, bk) for X in sp2.real_basis(bk)]
-    gens += list(jmats(bk))
-    rows = [_real_flat(lie_derivative_full8(f, U8, bk), bk) for U8 in gens]
-    return linalg.rank(rows, bk)
+    """Dimension of the sp(2) (+) sp(1) orbit through K, as the rank of the
+    sp(2) action on the quartic kappa_inv(K).
+
+    The three sp(1) generators J_s are left out because they annihilate
+    every K of HK curvature type (kappa_inv validates that K is one), so
+    they add nothing to the rank.  The sp(2) part may be taken on the
+    quartic because kappa intertwines the sp(2) actions on quartics and on
+    curvature tensors.
+    """
+    S = kappa_inv(K)
+    return linalg.rank(_action_rows(S.S, S.bk), S.bk)
 
 
 # -- moving along the orbit ----------------------------------------------
@@ -241,10 +225,9 @@ def transport_hk(K, M):
 # -- reconstruction from frames -------------------------------------------
 
 
-def _check_frames(frames, bk):
+def _check_frames(frames, bk, scale):
     g = g8mat(bk)
     J = jmats(bk)
-    scale = max(max(frob(E, bk) for E in frames) ** 2, 1.0)
     for E in frames:
         low = E.T @ g
         if not all_zero(low + low.T, bk, scale=scale):
@@ -253,15 +236,6 @@ def _check_frames(frames, bk):
             if not all_zero(E @ Js - Js @ E, bk, scale=scale):
                 raise ValueError("frame endomorphism does not commute with the "
                                  "hypercomplex structure")
-
-
-def _frames_close(frames, bk):
-    scale = max(max(frob(E, bk) for E in frames) ** 2, 1.0)
-    res = []
-    res.append(frames[0] @ frames[1] - frames[1] @ frames[0] - frames[2])
-    res.append(frames[1] @ frames[2] - frames[2] @ frames[1] - frames[0])
-    res.append(frames[2] @ frames[0] - frames[0] @ frames[2] - frames[1])
-    return all(all_zero(r, bk, scale=scale) for r in res)
 
 
 def k_from_frames(frames, bk=EXACT):
@@ -275,26 +249,16 @@ def k_from_frames(frames, bk=EXACT):
     sp(1) closure of the triple together with the frame normalization test
     sum_s eps_s ^ eps_s = -(3/4) Omega, and K is None when it fails.
     """
-    _check_frames(frames, bk)
-    if not _frames_close(frames, bk):
+    scale = max(max(frob(E, bk) for E in frames) ** 2, 1.0)
+    _check_frames(frames, bk, scale)
+    if not irrep.closes_as_sp1(frames, bk, scale):
         return False, None
+    om = irrep.omega_forms(bk)
+    if not all_zero(irrep.eps_wedge_residual(frames, om, bk), bk, scale=scale):
+        return False, None
+
     g = g8mat(bk)
-    J = jmats(bk)
-    eps = [E.T @ g for E in frames]
-    om = [Js.T @ g for Js in J]
-
-    from .irrep import wedge2
-    total = zeros((8, 8, 8, 8), bk)
-    for e in eps:
-        total = total + wedge2(e, e, bk)
-    Om = zeros((8, 8, 8, 8), bk)
-    for o in om:
-        Om = Om + wedge2(o, o, bk)
-    scale = max(frob(total, bk), 1.0)
-    verdict = all_zero(total + Om * bk.rational(3, 4), bk, scale=scale)
-    if not verdict:
-        return False, None
-
+    eps = [irrep.lowered_2form(E, bk) for E in frames]
     f = zeros((8, 8, 8, 8), bk)
     for e in eps:
         f = f + np.tensordot(e, e, axes=0)

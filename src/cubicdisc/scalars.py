@@ -202,7 +202,7 @@ class ExactBackend:
     def conj(self, x):
         return x.conj()
 
-    def is_zero(self, x):
+    def is_zero(self, x, scale=1.0):
         return not x
 
     def to_complex(self, x):

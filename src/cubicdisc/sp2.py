@@ -13,23 +13,17 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, frob, all_zero
+from .tensors import zeros, conj_arr, pmat, frob, all_zero, jmap4
 from . import linalg
 
 PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
-
-
-def jmap2(X, bk):
-    """The j-map on a rank-2 lower-index symmetric matrix: P^T conj(X) P."""
-    P = pmat(bk)
-    return P.T @ conj_arr(X, bk) @ P
 
 
 def is_sp2_element(X, bk, scale=None):
     if scale is None:
         scale = frob(X, bk)
     sym_ok = all_zero(X - X.T, bk, scale=scale)
-    real_ok = all_zero(X - jmap2(X, bk), bk, scale=scale)
+    real_ok = all_zero(X - jmap4(X, bk), bk, scale=scale)
     return sym_ok, real_ok
 
 
@@ -170,6 +164,16 @@ def endo_matrix(fun, bk=EXACT):
     return M
 
 
+@lru_cache(maxsize=None)
+def structure_constants(bk=EXACT):
+    """c[k, i, j] with [D_i, D_j] = sum_k c[k, i, j] D_k in the dollar basis."""
+    D = dollar_basis(bk)
+    c = np.stack([endo_matrix(lambda X, A=A: bracket(A, X, bk), bk) for A in D],
+                 axis=1)
+    c.flags.writeable = False
+    return c
+
+
 def apply_endo(M, X, bk=EXACT):
     return from_dollar_coords(M @ dollar_coords(X, bk), bk)
 
@@ -201,17 +205,14 @@ def real_basis(bk=EXACT):
     cands = []
     i = bk.i
     for B in sharp_basis(bk):
-        jB = jmap2(B, bk)
+        jB = jmap4(B, bk)
         cands.append(B + jB)
         cands.append((B - jB) * i)
     # Select an independent subset by rank over the reals.
     chosen = []
     rows = []
     for C in cands:
-        row = []
-        for x in C.flat:
-            row.append(bk.re(x))
-            row.append(bk.im(x))
+        row = linalg.real_flat(C, bk)
         if linalg.rank(rows + [row], bk) > len(chosen):
             chosen.append(C)
             rows.append(row)
@@ -226,6 +227,6 @@ def endo_is_real(M, bk=EXACT):
     """Check that a 10x10 endomorphism maps the real form into itself."""
     for B in real_basis(bk):
         Y = apply_endo(M, B, bk)
-        if not all_zero(Y - jmap2(Y, bk), bk, scale=frob(Y, bk) + 1.0):
+        if not all_zero(Y - jmap4(Y, bk), bk, scale=frob(Y, bk) + 1.0):
             return False
     return True

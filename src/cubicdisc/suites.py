@@ -239,7 +239,10 @@ def run_models(bk, seed=0):
                            <= (0.0 if bk.name == "exact" else bk.tol),
                            info="C=%s" % (bk.to_complex(C),)))
     rep = models.scalar_curvature_report(compact)
-    out.append(CheckResult("scalar_curvature_report", True,
+    gap = rep["trace"] - rep["from_r0_route"]
+    out.append(CheckResult("scalar_curvature_report",
+                           bk.is_zero(gap, abs(bk.to_complex(rep["trace"]))),
+                           abs(bk.to_complex(gap)),
                            info="; ".join("%s=%s" % (k, bk.to_complex(v))
                                           for k, v in sorted(rep.items()))))
     return out

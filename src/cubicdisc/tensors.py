@@ -1,12 +1,15 @@
-"""Indexed tensor algebra on V^C = W (+) Wbar, dim W = 4.
+"""Component arrays on V^C = W (+) Wbar, dim W = 4, and the structure
+tensors of the adapted basis.
 
 Index bookkeeping follows a fixed Sp(2)-adapted basis: e_{a+2} = j(e_a),
 pi = e^1^e^3 + e^2^e^4, and g is the identity in mixed components.  Indices
-run 1..4 in the documentation and 0..3 internally; barred-ness is carried in
-the slot type, not in the index value.  The full 8-dimensional tensors are
-reconstructed on demand (indices 0..3 unbarred, 4..7 barred).
+run 1..4 in the documentation and 0..3 internally; arrays on W carry no
+record of which slots are barred or raised, the caller keeps track.  The
+full 8-dimensional tensors are reconstructed on demand (indices 0..3
+unbarred, 4..7 barred).
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -36,10 +39,6 @@ def all_zero(A, bk, scale=1.0):
     if bk.name == "exact":
         return all(not x for x in np.asarray(A, dtype=object).flat)
     return frob(A, bk) <= bk.tol * max(1.0, scale)
-
-
-def residual_norm(A, bk):
-    return frob(A, bk)
 
 
 def slot_contract(T, axis, M):
@@ -105,223 +104,28 @@ def jmats(bk=EXACT):
     return (J1, J2, J3)
 
 
-class StructureTensors:
-    """The fixed structure tensors pi, g, J1, J2, J3 of the adapted basis.
-
-    All mixed variants of pi are numerically equal to the matrix P: the
-    convention "raise both indices of pi with g" is frozen by a golden test
-    (full pi^ pi_ contraction equals +4).
-    """
-
-    def __init__(self, bk=EXACT):
-        self.bk = bk
-        self.pi_lower = pmat(bk)
-        self.pi_upper = pmat(bk)      # raise both slots with g = Id
-        self.pi_mixed = pmat(bk)      # pi^alpha_{.betabar} and pi^{betabar}_{.alpha}
-        self.g_lower = eye(4, bk)
-        self.g_upper = eye(4, bk)
-        self.g8 = g8mat(bk)
-        self.J1, self.J2, self.J3 = jmats(bk)
-
-
-def standard_structure(bk=EXACT):
-    return StructureTensors(bk)
-
-
-UP, LOW = "up", "low"
-PLAIN, BAR = "plain", "bar"
-
-
-class IndexSlot:
-    __slots__ = ("variance", "bar")
-
-    def __init__(self, variance, bar):
-        if variance not in (UP, LOW) or bar not in (PLAIN, BAR):
-            raise ValueError("bad slot %r %r" % (variance, bar))
-        self.variance = variance
-        self.bar = bar
-
-    def __eq__(self, other):
-        return (self.variance, self.bar) == (other.variance, other.bar)
-
-    def __repr__(self):
-        return "%s%s" % (self.variance, "_bar" if self.bar == BAR else "")
-
-    def key(self):
-        return self.variance + ("_bar" if self.bar == BAR else "")
-
-
-def slot_from_key(key):
-    bar = BAR if key.endswith("_bar") else PLAIN
-    variance = key.split("_")[0]
-    return IndexSlot(variance, bar)
-
-
-class IndexedTensor:
-    """Dense tensor with a typed index signature; indices range over 0..3."""
-
-    def __init__(self, signature, components, bk=EXACT):
-        self.signature = list(signature)
-        self.components = np.asarray(components, dtype=object)
-        if self.components.shape != (4,) * len(self.signature):
-            raise ValueError("component array must have shape (4,)*rank")
-        self.bk = bk
-
-    @property
-    def rank(self):
-        return len(self.signature)
-
-    def copy(self):
-        return IndexedTensor(list(self.signature), self.components.copy(), self.bk)
-
-    # -- algebra ----------------------------------------------------------
-
-    def __add__(self, other):
-        if [s.key() for s in self.signature] != [s.key() for s in other.signature]:
-            raise ValueError("signature mismatch in addition")
-        return IndexedTensor(self.signature, self.components + other.components, self.bk)
-
-    def __sub__(self, other):
-        if [s.key() for s in self.signature] != [s.key() for s in other.signature]:
-            raise ValueError("signature mismatch in subtraction")
-        return IndexedTensor(self.signature, self.components - other.components, self.bk)
-
-    def __neg__(self):
-        return IndexedTensor(self.signature, -self.components, self.bk)
-
-    def scale(self, c):
-        return IndexedTensor(self.signature, self.components * c, self.bk)
-
-    def tensor(self, other):
-        comps = np.tensordot(self.components, other.components, axes=0)
-        return IndexedTensor(self.signature + other.signature, comps, self.bk)
-
-    def contract(self, slot_a, slot_b):
-        """Contract two slots: one upper, one lower, same bar class."""
-        sa, sb = self.signature[slot_a], self.signature[slot_b]
-        if sa.variance == sb.variance or sa.bar != sb.bar:
-            raise ValueError(
-                "illegal contraction of slot %d (%r) with slot %d (%r)"
-                % (slot_a, sa, slot_b, sb))
-        comps = np.trace(self.components, axis1=slot_a, axis2=slot_b)
-        sig = [s for k, s in enumerate(self.signature) if k not in (slot_a, slot_b)]
-        return IndexedTensor(sig, comps, self.bk)
-
-    # -- the antilinear j-map --------------------------------------------
-
-    def jmap(self):
-        """Extend the quaternionic structure j antilinearly to this tensor.
-
-        Componentwise: every slot is contracted against the matrix P of pi
-        while the components are conjugated.  The slot kinds are unchanged
-        (the map exchanges the roles of the barred and unbarred blocks, and
-        we store the block selected by the signature).
-        """
-        P = pmat(self.bk)
-        out = conj_arr(self.components, self.bk)
-        for axis in range(self.rank):
-            out = slot_contract(out, axis, P)
-        return IndexedTensor(self.signature, out, self.bk)
-
-    def bar_conjugate(self):
-        """The reality map: conjugate components and toggle every bar flag."""
-        sig = [IndexSlot(s.variance, PLAIN if s.bar == BAR else BAR) for s in self.signature]
-        return IndexedTensor(sig, conj_arr(self.components, self.bk), self.bk)
-
-    def is_real(self):
-        """A tensor is real when it equals its own bar-conjugate block."""
-        return all_zero(self.components - self.bar_conjugate().components, self.bk,
-                        scale=frob(self.components, self.bk))
-
-    # -- index operations -------------------------------------------------
-
-    def raise_slot(self, k):
-        s = self.signature[k]
-        if s.variance != LOW:
-            raise ValueError("slot %d is already upper" % k)
-        sig = list(self.signature)
-        sig[k] = IndexSlot(UP, PLAIN if s.bar == BAR else BAR)
-        return IndexedTensor(sig, self.components, self.bk)
-
-    def lower_slot(self, k):
-        s = self.signature[k]
-        if s.variance != UP:
-            raise ValueError("slot %d is already lower" % k)
-        sig = list(self.signature)
-        sig[k] = IndexSlot(LOW, PLAIN if s.bar == BAR else BAR)
-        return IndexedTensor(sig, self.components, self.bk)
-
-    def _perm_sum(self, slots, signed):
-        import itertools
-        slots = list(slots)
-        if len(set(slots)) != len(slots) or not slots:
-            raise ValueError("malformed slot list %r" % (slots,))
-        for k in slots:
-            if not 0 <= k < self.rank:
-                raise ValueError("slot %d out of range" % k)
-        base = self.signature[slots[0]]
-        for k in slots:
-            if self.signature[k] != base:
-                raise ValueError("slots %r have mixed kinds" % (slots,))
-        total = zeros(self.components.shape, self.bk)
-        count = 0
-        for perm in itertools.permutations(range(len(slots))):
-            axes = list(range(self.rank))
-            for pos, k in enumerate(slots):
-                axes[k] = slots[perm[pos]]
-            term = np.transpose(self.components, axes)
-            if signed:
-                sgn = _perm_sign(perm)
-                term = term if sgn > 0 else -term
-            total = total + term
-            count += 1
-        total = total * self.bk.rational(1, count)
-        return IndexedTensor(self.signature, total, self.bk)
-
-    def symmetrize(self, slots):
-        return self._perm_sum(slots, signed=False)
-
-    def antisymmetrize(self, slots):
-        return self._perm_sum(slots, signed=True)
-
-
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def basis_vector(alpha, bk=EXACT, bar=False):
-    """The coordinate vector of e_alpha (0-based) as an upper-index tensor."""
-    comps = zeros((4,), bk)
-    comps[alpha] = bk.one
-    return IndexedTensor([IndexSlot(UP, BAR if bar else PLAIN)], comps, bk)
-
-
 def sym4(S, bk):
-    """Totally symmetrize a rank-4 array over all 24 slot permutations."""
-    import itertools
+    """Average an array of rank >= 4 over the 24 permutations of its first
+    four slots; a rank-4 array comes out totally symmetric."""
+    rest = tuple(range(4, S.ndim))
     total = zeros(S.shape, bk)
     for perm in itertools.permutations(range(4)):
-        total = total + np.transpose(S, perm)
+        total = total + np.transpose(S, perm + rest)
     return total * bk.rational(1, 24)
 
 
 def jmap4(S, bk):
-    """The j-map on a rank-4 lower-index array."""
+    """The j-map on a lower-index array of any rank: conjugate the
+    components and contract every slot with P.  Applied twice it gives
+    (-1)^rank times the input, since P P = -1."""
     P = pmat(bk)
     out = conj_arr(S, bk)
-    for axis in range(4):
+    for axis in range(S.ndim):
         out = slot_contract(out, axis, P)
     return out
 
 
 def is_totally_symmetric(S, bk):
-    import itertools
     for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
         if not all_zero(S - np.transpose(S, perm), bk, scale=frob(S, bk)):
             return False

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cubicdisc.cli import main
 
 
@@ -84,3 +86,13 @@ def test_stdout_report(tmp_path):
     report = json.loads(proc.stdout)
     assert report["passed"] is True
     assert "PASS" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_is_usage_error(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "preliminaries", "--backend", "float", "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol: must be a finite number greater than 0" in err
+    assert "FAIL" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT
-from cubicdisc.tensors import zeros, eye, frob, all_zero, FLIP
+from cubicdisc.tensors import zeros, eye, frob, all_zero, jmats, FLIP
 from cubicdisc import sp2, hk, irrep, orbit
 
 bk = EXACT
@@ -102,3 +102,28 @@ def test_double_contractions_on_transported():
                     scale=frob(Kt.Kmix, bk) ** 2 + 1.0)
     assert all_zero(hk.contr_kxk_2_residual(Kt), bk,
                     scale=frob(Kt.Kmix, bk) ** 2 + 1.0)
+
+
+def _hk_samples():
+    K = reference()
+    M = orbit.cayley_sp2(orbit.random_sp2(41, bk), bk)
+    return [K, orbit.transport_hk(K, M), hk.kappa(orbit.random_quartic(43, bk))]
+
+
+def test_sp1_annihilates_hk_type():
+    # orbit_dimension drops the three J_s generators because of this.
+    for K in _hk_samples():
+        f = K.full8()
+        for J in jmats(bk):
+            assert all_zero(hk.lie_derivative_full8(f, J, bk), bk)
+
+
+def test_kappa_intertwines_sp2_actions():
+    # orbit_dimension ranks the action on the quartic because of this.
+    mixed = np.ix_(range(4), range(4, 8), range(4), range(4, 8))
+    X = orbit.random_sp2(47, bk)
+    for K in _hk_samples():
+        S = hk.kappa_inv(K).S
+        Lf = hk.lie_derivative_full8(K.full8(), sp2.endo_on_v(X, bk), bk)
+        expect = hk.kappa(orbit.quartic_action(S, X, bk), bk).Kmix
+        assert all_zero(Lf[mixed] - expect, bk)

@@ -1,8 +1,10 @@
 """JSON round trips for quartics, curvature tensors, and coframes."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc import jsonio, irrep, hk, models, orbit
@@ -74,3 +76,40 @@ def test_unknown_kind_rejected():
 def test_dumps_deterministic():
     q = irrep.s_hat(bk)
     assert jsonio.dumps(q) == jsonio.dumps(q)
+
+
+ONE = {"a": "1", "b": "0", "c": "0", "d": "0"}
+
+
+@pytest.mark.parametrize("kind", ["quartic", "hk_tensor"])
+@pytest.mark.parametrize("key", ["15", "1111 ", "11111", "0123", "12a4", ""])
+def test_malformed_key_names_the_key(kind, key):
+    payload = json.dumps({"kind": kind, "components": {key: ONE}})
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        jsonio.loads(payload, bk)
+
+
+def test_conflicting_permuted_quartic_keys_rejected():
+    data = json.loads(jsonio.dumps(irrep.s_hat(bk)))
+    data["components"]["2111"] = ONE       # a permutation of "1112" = 0
+    with pytest.raises(ValueError, match="'1112' and '2111'"):
+        jsonio.loads(json.dumps(data), bk)
+    data["components"]["2111"] = data["components"]["1112"]
+    assert jsonio.loads(json.dumps(data), bk) == irrep.s_hat(bk)
+
+
+def test_hk_payload_must_be_of_hk_type():
+    payload = json.dumps({"kind": "hk_tensor", "components": {"1111": ONE}})
+    with pytest.raises(ValueError):
+        jsonio.loads(payload, bk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["quartic", "hk_tensor"]),
+       keys=st.lists(st.text(alphabet="012345a ", max_size=6), max_size=4))
+def test_loaders_raise_only_value_error_on_random_keys(kind, keys):
+    payload = json.dumps({"kind": kind, "components": {k: ONE for k in keys}})
+    try:
+        jsonio.loads(payload, bk)
+    except ValueError:
+        pass

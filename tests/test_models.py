@@ -92,6 +92,31 @@ def test_scalar_curvature_report_contains_candidates():
     assert rep["from_c_formula"] == bk.rational(32)
 
 
+def test_scalar_curvature_c_formula_deviation():
+    # The trace and the R0 route agree; the 128C/3 formula gives 2/3 of
+    # them on both models.  This pins the known deviation named in README.
+    for cs, sign in ((models.compact_model(bk), 1), (models.split_model(bk), -1)):
+        rep = models.scalar_curvature_report(cs)
+        assert rep["trace"] == bk.rational(48 * sign)
+        assert rep["from_r0_route"] == bk.rational(48 * sign)
+        assert rep["from_c_formula"] == bk.rational(32 * sign)
+
+
+def test_scalar_curvature_check_can_fail(monkeypatch):
+    from cubicdisc import suites
+    real = models.scalar_curvature_report
+
+    def shifted(cs):
+        rep = real(cs)
+        rep["from_r0_route"] = rep["from_r0_route"] + cs.bk.rational(1, 10)
+        return rep
+
+    monkeypatch.setattr(models, "scalar_curvature_report", shifted)
+    for backend in ("exact", "float"):
+        checks = {c.name: c for c in suites.run_suite("models", backend)}
+        assert not checks["scalar_curvature_report"].passed
+
+
 def test_r0_matches_constant_curvature_structure():
     R0 = models.r0_tensor(bk)
     ric = models.ricci(R0, bk)

@@ -54,6 +54,36 @@ def test_stabilizer_is_upsilon_span():
 
 def test_orbit_dimension():
     assert orbit.orbit_dimension(reference()) == 7
+    assert orbit.orbit_dimension(hk.kappa(orbit.random_quartic(3, bk))) == 10
+
+
+def test_orbit_dimension_stays_on_the_quartic(monkeypatch):
+    # The rank is taken on the 4-index quartic; no 8^4 tensor is built.
+    def no_full8(self):
+        raise AssertionError("orbit_dimension built the 8^4 tensor")
+
+    def quartic_only(f, U, bk):
+        assert f.shape == (4, 4, 4, 4)
+        return lie(f, U, bk)
+
+    lie = hk.lie_derivative_full8
+    monkeypatch.setattr(hk.HKTensor, "full8", no_full8)
+    monkeypatch.setattr(orbit, "lie_derivative_full8", quartic_only)
+    assert orbit.orbit_dimension(reference()) == 7
+
+
+def test_is_cd_theorem_evaluates_t_k_once(monkeypatch):
+    calls = []
+    apply = hk.t_k_apply
+
+    def counted(K, X):
+        calls.append(X)
+        return apply(K, X)
+
+    monkeypatch.setattr(hk, "t_k_apply", counted)
+    monkeypatch.setattr(orbit, "t_k_apply", counted)
+    assert orbit.is_cd_theorem(reference()).verdict
+    assert len(calls) == 10
 
 
 def test_cayley_produces_group_elements():

@@ -92,3 +92,12 @@ def test_dagger_accepts_callable():
 def test_endo_is_real():
     assert sp2.endo_is_real(eye(10, bk), bk)
     assert not sp2.endo_is_real(eye(10, bk) * bk.i, bk)
+
+
+def test_structure_constants_reproduce_bracket():
+    D = sp2.dollar_basis(bk)
+    c = sp2.structure_constants(bk)
+    for i in range(10):
+        for j in range(10):
+            expect = sp2.bracket(D[i], D[j], bk)
+            assert all_zero(sp2.from_dollar_coords(c[:, i, j], bk) - expect, bk)
