@@ -129,12 +129,12 @@ def _nullspace_of_columns(column_tensors, bk):
             row_im = {}
             for k in range(nunk):
                 v = flats[k][m]
-                if bk.name == "exact" and not v:
+                if not v:
                     continue
                 re, im = bk.re(v), bk.im(v)
-                if not (bk.name == "exact" and not re):
+                if re:
                     row_re[k] = re
-                if not (bk.name == "exact" and not im):
+                if im:
                     row_im[k] = im
             if row_re:
                 elim.add_row(row_re)
@@ -224,7 +224,7 @@ class FirstBianchiSolution:
             G1 = G1 + B * vec[pos]
             pos += 1
         scale = F2[0, 2]
-        if bk.name == "exact" and not scale:
+        if not scale:
             raise ValueError("cannot normalize: F2[1,3] vanishes on the solution line")
         inv = bk.one / scale
         self.D = [M * inv for M in D]
@@ -247,8 +247,4 @@ class FirstBianchiSolution:
         return out
 
     def matches_structure(self):
-        bk = self.bk
-        res = self.structure_residuals()
-        if bk.name == "exact":
-            return all(v == 0.0 for v in res.values())
-        return all(v <= bk.tol * 10.0 for v in res.values())
+        return all(v <= self.bk.tol * 10.0 for v in self.structure_residuals().values())

@@ -92,7 +92,7 @@ class HKTensor:
                 for c in range(4):
                     for d in range(4):
                         v = self.Kmix[a, b, c, d]
-                        if bk.name == "exact" and not v:
+                        if not v:
                             continue
                         w = bk.conj(v)
                         for (i1, i2, s1) in ((a, b + 4, 1), (b + 4, a, -1)):
@@ -126,9 +126,7 @@ class HKTensor:
 
 def t_k_apply(K, X):
     """T_K in the symmetric model: X'_{ab} = K_{a sbar b tbar} X^{sbar tbar}."""
-    bk = K.bk
-    out = np.tensordot(K.Kmix, X, axes=([1, 3], [0, 1]))
-    return out
+    return np.tensordot(K.Kmix, X, axes=([1, 3], [0, 1]))
 
 
 def t_k(K):
@@ -139,12 +137,10 @@ def t_k(K):
 
 def t_k_matrix_from_quartic(S, bk):
     """Alternative coordinate form: the value matrix of T_K($_{ab}) is S[a,b,:,:]."""
-    def fun_pairs():
-        M = zeros((10, 10), bk)
-        for k, (a, b) in enumerate(sp2.PAIRS):
-            M[:, k] = sp2.dollar_coords(S[a, b], bk)
-        return M
-    return fun_pairs()
+    M = zeros((10, 10), bk)
+    for k, (a, b) in enumerate(sp2.PAIRS):
+        M[:, k] = sp2.dollar_coords(S[a, b], bk)
+    return M
 
 
 def t_k_from_orthonormal_sum(K, X):
@@ -226,7 +222,7 @@ def solve_generator(K, L, bk):
     rhs = []
     flatL = Lf.reshape(-1)
     for k in range(flatL.shape[0]):
-        if bk.name == "exact" and not any(col[k] for col in cols) and not flatL[k]:
+        if not any(col[k] for col in cols) and not flatL[k]:
             continue
         rows.append([bk.re(col[k]) for col in cols])
         rhs.append(bk.re(flatL[k]))

@@ -119,7 +119,7 @@ def substitution_check(bk=EXACT):
     lhs = {}
     for idx in itertools.product(range(4), repeat=4):
         v = S[idx]
-        if bk.name == "exact" and not v:
+        if not v:
             continue
         coef = v * bk.rational(3)
         key = [0, 0, 0, 0]  # exponents of a, b, c, d
@@ -333,7 +333,7 @@ def _kron(A, B, bk):
     for i in range(n1):
         for j in range(m1):
             a = A[i, j]
-            if bk.name == "exact" and not a:
+            if not a:
                 continue
             out[i * n2:(i + 1) * n2, j * m2:(j + 1) * m2] = B * a
     return out
@@ -390,22 +390,26 @@ def casimir_eigenvalue(k, bk):
 
 
 def casimir_decompose(module, kmax=12, lmax=3):
-    """Multiplicity table {(k, l): multiplicity} of S^k E (x) S^l H summands."""
+    """Multiplicity table {(k, l): multiplicity} of S^k E (x) S^l H summands.
+    The stacked 2n x n system is ranked only where CE and CH both have the
+    eigenvalue; each shifted Casimir is ranked once on its own."""
     module.check_closure()
     bk = module.bk
-    CE, CH = module.casimirs()
     n = module.dim
+
+    def shifted(C, m):
+        c = casimir_eigenvalue(m, bk)
+        return [[C[i, j] - (c if i == j else bk.zero) for j in range(n)]
+                for i in range(n)]
+
+    CE, CH = module.casimirs()
+    ks = [k for k in range(kmax + 1) if linalg.rank(shifted(CE, k), bk) < n]
+    ls = [l for l in range(lmax + 1) if linalg.rank(shifted(CH, l), bk) < n]
     table = {}
     covered = 0
-    for k in range(kmax + 1):
-        for l in range(lmax + 1):
-            ce = casimir_eigenvalue(k, bk)
-            ch = casimir_eigenvalue(l, bk)
-            M = [[CE[i, j] - (ce if i == j else bk.zero) for j in range(n)]
-                 for i in range(n)]
-            M += [[CH[i, j] - (ch if i == j else bk.zero) for j in range(n)]
-                  for i in range(n)]
-            d = n - linalg.rank(M, bk)
+    for k in ks:
+        for l in ls:
+            d = n - linalg.rank(shifted(CE, k) + shifted(CH, l), bk)
             if d:
                 mult, rem = divmod(d, (k + 1) * (l + 1))
                 if rem:

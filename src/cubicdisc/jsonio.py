@@ -5,12 +5,13 @@ field (strings like "3/4"); float-backend scalars as {"re": ..., "im": ...}.
 Quartics store the 35 independent components keyed by nondecreasing 1-based
 index words; curvature tensors store their nonzero mixed components keyed by
 four-letter index words; coframes store the coefficient list of each
-differential.
+differential.  Loaders raise ValueError, naming the offending component, on
+any payload that does not follow this schema.
 """
 
+import cmath
 import itertools
 import json
-from fractions import Fraction
 
 from .scalars import EXACT, ExactScalar
 from .tensors import zeros
@@ -19,29 +20,35 @@ from .models import CoframeSystem, LABELS, N_FORMS
 
 
 def scalar_to_json(x, bk):
-    if bk.name == "exact":
+    if isinstance(x, ExactScalar):
         return {"a": str(x.a), "b": str(x.b), "c": str(x.c), "d": str(x.d)}
     z = bk.to_complex(x)
     return {"re": z.real, "im": z.imag}
 
 
-def scalar_from_json(d, bk):
-    if bk.name == "exact":
-        if "re" in d:
-            raise ValueError("cannot load float scalars into the exact backend")
-        return ExactScalar(Fraction(d["a"]), Fraction(d["b"]),
-                           Fraction(d["c"]), Fraction(d["d"]))
-    if "re" in d:
-        return complex(d["re"], d["im"])
-    s = ExactScalar(Fraction(d["a"]), Fraction(d["b"]),
-                    Fraction(d["c"]), Fraction(d["d"]))
-    return s.to_complex()
+def scalar_from_json(d, bk, where="value"):
+    """A backend scalar from rationals {a, b, c, d} or finite numbers
+    {re, im}; `where` names the value in the ValueError for anything else."""
+    keys = set(d) if isinstance(d, dict) else None
+    z = None
+    try:
+        if keys == set("abcd") and all(type(d[k]) in (str, int) for k in keys):
+            return bk.scalar(*(d[k] for k in "abcd"))
+        if keys == {"re", "im"} and all(type(d[k]) in (int, float) for k in keys):
+            z = complex(d["re"], d["im"])
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    if z is None or not cmath.isfinite(z):
+        raise ValueError("%s is not a scalar: expected rationals {a, b, c, d} "
+                         "or finite numbers {re, im}" % (where,))
+    return bk.from_complex(z)
 
 
-def _nonzero(v, bk):
-    if bk.name == "exact":
-        return bool(v)
-    return abs(bk.to_complex(v)) > 0.0
+def _components(data):
+    comps = data.get("components")
+    if not isinstance(comps, dict):
+        raise ValueError("\"components\" must be an object mapping keys to scalars")
+    return comps.items()
 
 
 def quartic_to_json(q):
@@ -68,9 +75,9 @@ def _index(key):
 def quartic_from_json(data, bk=EXACT):
     S = zeros((4, 4, 4, 4), bk)
     seen = {}
-    for key, val in data["components"].items():
+    for key, val in _components(data):
         idx = _index(key)
-        v = scalar_from_json(val, bk)
+        v = scalar_from_json(val, bk, "component %r" % (key,))
         first = seen.setdefault(tuple(sorted(idx)), (key, v))
         if first[1] != v:
             raise ValueError("quartic keys %r and %r are permutations of each "
@@ -88,7 +95,7 @@ def hk_to_json(K):
             for c in range(4):
                 for d in range(4):
                     v = K.Kmix[a, b, c, d]
-                    if _nonzero(v, bk):
+                    if v:
                         key = "%d%d%d%d" % (a + 1, b + 1, c + 1, d + 1)
                         comps[key] = scalar_to_json(v, bk)
     return {"kind": "hk_tensor", "components": dict(sorted(comps.items()))}
@@ -96,8 +103,8 @@ def hk_to_json(K):
 
 def hk_from_json(data, bk=EXACT):
     Kmix = zeros((4, 4, 4, 4), bk)
-    for key, val in data["components"].items():
-        Kmix[_index(key)] = scalar_from_json(val, bk)
+    for key, val in _components(data):
+        Kmix[_index(key)] = scalar_from_json(val, bk, "component %r" % (key,))
     K = HKTensor(Kmix, bk)
     K.validate()
     return K
@@ -122,9 +129,10 @@ def coframe_from_json(data, bk=EXACT):
     for name, rows in data["d"].items():
         form = {}
         for (l1, l2, val) in rows:
-            form[(index[l1], index[l2])] = scalar_from_json(val, bk)
+            form[(index[l1], index[l2])] = scalar_from_json(
+                val, bk, "d[%r] entry (%r, %r)" % (name, l1, l2))
         d[index[name]] = form
-    h = None if data.get("h") is None else scalar_from_json(data["h"], bk)
+    h = None if data.get("h") is None else scalar_from_json(data["h"], bk, "h")
     return CoframeSystem(d, bk, h=h)
 
 
@@ -143,7 +151,7 @@ def dumps(obj):
 
 def loads(text, bk=EXACT):
     data = json.loads(text)
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind not in _LOADERS:
         raise ValueError("unknown payload kind %r" % (kind,))
     return _LOADERS[kind](data, bk)

@@ -2,13 +2,11 @@
 
 Works on matrices whose entries come from either backend (ExactScalar or
 complex).  All routines are fraction-free in spirit but simply rely on exact
-field division when the backend is exact; for the float backend a relative
-pivot threshold decides rank questions.
+field division when the backend is exact.  Rank questions are decided by
+the backend's pivot_tol: 0 on exact, relative to the largest entry on float.
 """
 
 import numpy as np
-
-from .scalars import ExactBackend
 
 
 def _as_rows(M):
@@ -30,10 +28,10 @@ def _absval(bk, x):
 
 
 def _pivot_threshold(bk, rows):
-    if isinstance(bk, ExactBackend):
+    if not bk.pivot_tol:
         return 0.0
     m = max((_absval(bk, x) for row in rows for x in row), default=0.0)
-    return max(m, 1.0) * 1e-7
+    return max(m, 1.0) * bk.pivot_tol
 
 
 def rref(M, bk, tol=None):
@@ -138,9 +136,7 @@ class SparseEliminator:
         self.ncols = ncols
         self.bk = bk
         self.pivot_rows = {}
-        if tol is None:
-            tol = 0.0 if isinstance(bk, ExactBackend) else 1e-7
-        self.tol = tol
+        self.tol = bk.pivot_tol if tol is None else tol
 
     def _clean(self, row):
         return {c: v for c, v in row.items() if _absval(self.bk, v) > self.tol}

@@ -28,19 +28,24 @@ PHI = (3, 4, 5)
 TH0 = 6    # th_alpha = TH0 + alpha, thbar_alpha = TH0 + 4 + alpha
 
 
+def _accumulate(form, key, value, bk):
+    """form[key] += value, dropping the key when the sum is zero."""
+    cur = form.get(key, bk.zero) + value
+    if cur:
+        form[key] = cur
+    else:
+        form.pop(key, None)
+
+
 def _form_add(form, key, value, bk):
+    """Add value * e^i ^ e^j to a 2-form keyed by sorted pairs; zeros drop out."""
     i, j = key
     if i == j:
         return
     if i > j:
         i, j = j, i
         value = -value
-    cur = form.get((i, j), bk.zero)
-    cur = cur + value
-    if bk.name == "exact" and not cur:
-        form.pop((i, j), None)
-    else:
-        form[(i, j)] = cur
+    _accumulate(form, (i, j), value, bk)
 
 
 def wedge_with_one_form(form2, j, bk):
@@ -58,12 +63,7 @@ def wedge_with_one_form(form2, j, bk):
                     sgn = -sgn
         key = tuple(sorted(idx))
         w = v if sgn > 0 else -v
-        cur = out.get(key, bk.zero)
-        cur = cur + w
-        if bk.name == "exact" and not cur:
-            out.pop(key, None)
-        else:
-            out[key] = cur
+        _accumulate(out, key, w, bk)
     return out
 
 
@@ -85,19 +85,11 @@ class CoframeSystem:
             for (p, q), w in self.d[i].items():
                 t = wedge_with_one_form({(p, q): v * w}, j, bk)
                 for key, val in t.items():
-                    cur = out.get(key, bk.zero) + val
-                    if bk.name == "exact" and not cur:
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
+                    _accumulate(out, key, val, bk)
             for (p, q), w in self.d[j].items():
                 t = wedge_with_one_form({(p, q): -(v * w)}, i, bk)
                 for key, val in t.items():
-                    cur = out.get(key, bk.zero) + val
-                    if bk.name == "exact" and not cur:
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
+                    _accumulate(out, key, val, bk)
         return out
 
     def d_squared_residual(self, k):
@@ -115,13 +107,10 @@ class CoframeSystem:
 
     def is_closed(self):
         bk = self.bk
-        if bk.name == "exact":
-            return all(not self.d_squared_residual(k) or
-                       all(not v for v in self.d_squared_residual(k).values())
-                       for k in range(N_FORMS))
         scale = max((abs(bk.to_complex(v)) for f in self.d.values()
                      for v in f.values()), default=1.0)
-        return self.closure_residual() <= bk.tol * max(1.0, scale) ** 2
+        return all(bk.is_zero(v, max(1.0, scale) ** 2) for k in range(N_FORMS)
+                   for v in self.d_squared_residual(k).values())
 
     def structure_constants(self):
         """c[k, i, j] with [v_i, v_j] = sum_k c[k,i,j] v_k; c^k_ij = -(de^k)_ij."""
@@ -169,15 +158,11 @@ def coframe_family(h, bk=EXACT):
         D = (U[s] @ P) * (bk.rational(-2, 3) * h)
         for a in range(4):
             for b in range(4):
-                if bk.name == "exact" and not D[a, b]:
-                    continue
                 _form_add(d[s], (TH0 + a, TH0 + 4 + b), D[a, b], bk)
     for a in range(4):
         _form_add(d[3], (TH0 + a, TH0 + 4 + a), i * h, bk)
     for a in range(4):
         for b in range(a + 1, 4):
-            if bk.name == "exact" and not P[a, b]:
-                continue
             _form_add(d[4], (TH0 + a, TH0 + b), h * P[a, b], bk)
             _form_add(d[4], (TH0 + 4 + a, TH0 + 4 + b), hc * P[a, b], bk)
             _form_add(d[5], (TH0 + a, TH0 + b), -(i * h) * P[a, b], bk)
@@ -188,16 +173,13 @@ def coframe_family(h, bk=EXACT):
     for a in range(4):
         for b in range(4):
             for s in range(3):
-                if not (bk.name == "exact" and not E[s][a, b]):
-                    _form_add(d[TH0 + a], (s, TH0 + b), -E[s][a, b], bk)
-                Ec = bk.conj(E[s][a, b])
-                if not (bk.name == "exact" and not Ec):
-                    _form_add(d[TH0 + 4 + a], (s, TH0 + 4 + b), -Ec, bk)
-            if not (bk.name == "exact" and not P[a, b]):
-                _form_add(d[TH0 + a], (4, TH0 + 4 + b), half * P[a, b], bk)
-                _form_add(d[TH0 + a], (5, TH0 + 4 + b), (i * half) * P[a, b], bk)
-                _form_add(d[TH0 + 4 + a], (4, TH0 + b), half * P[a, b], bk)
-                _form_add(d[TH0 + 4 + a], (5, TH0 + b), -(i * half) * P[a, b], bk)
+                _form_add(d[TH0 + a], (s, TH0 + b), -E[s][a, b], bk)
+                _form_add(d[TH0 + 4 + a], (s, TH0 + 4 + b),
+                          -bk.conj(E[s][a, b]), bk)
+            _form_add(d[TH0 + a], (4, TH0 + 4 + b), half * P[a, b], bk)
+            _form_add(d[TH0 + a], (5, TH0 + 4 + b), (i * half) * P[a, b], bk)
+            _form_add(d[TH0 + 4 + a], (4, TH0 + b), half * P[a, b], bk)
+            _form_add(d[TH0 + 4 + a], (5, TH0 + b), -(i * half) * P[a, b], bk)
         _form_add(d[TH0 + a], (3, TH0 + a), -(i * half), bk)
         _form_add(d[TH0 + 4 + a], (3, TH0 + 4 + a), i * half, bk)
 

@@ -181,10 +181,17 @@ class ExactScalar:
 _ZERO = ExactScalar(0)
 
 
-class ExactBackend:
-    """Constructs and inspects ExactScalar values."""
+def frobenius(values):
+    """sqrt(sum |z|^2) over complex numbers, as a float."""
+    return math.sqrt(sum(abs(z) ** 2 for z in values))
 
-    name = "exact"
+
+class ExactBackend:
+    """Constructs and inspects ExactScalar values.  Every zero test is
+    exact: a value or array is zero only if it is identically zero."""
+
+    tol = 0.0
+    pivot_tol = 0.0
 
     def __init__(self):
         self.zero = ExactScalar(0)
@@ -202,8 +209,14 @@ class ExactBackend:
     def conj(self, x):
         return x.conj()
 
+    def from_complex(self, z):
+        raise ValueError("cannot load float scalars into the exact backend")
+
     def is_zero(self, x, scale=1.0):
         return not x
+
+    def all_zero(self, values, scale=1.0):
+        return not any(values)
 
     def to_complex(self, x):
         return x.to_complex()
@@ -219,9 +232,12 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Shadow backend over double-precision complex numbers."""
+    """Shadow backend over double-precision complex numbers.  A value or
+    array is zero if its absolute value or Frobenius norm is at most
+    tol * max(1, scale); elimination treats entries at most pivot_tol
+    (relative to the largest entry in rref) as zero."""
 
-    name = "float"
+    pivot_tol = 1e-7
 
     def __init__(self, tol=1e-9):
         self.tol = tol
@@ -241,8 +257,14 @@ class FloatBackend:
     def conj(self, x):
         return x.conjugate()
 
+    def from_complex(self, z):
+        return complex(z)
+
     def is_zero(self, x, scale=1.0):
         return abs(x) <= self.tol * max(1.0, scale)
+
+    def all_zero(self, values, scale=1.0):
+        return frobenius(values) <= self.tol * max(1.0, scale)
 
     def to_complex(self, x):
         return complex(x)

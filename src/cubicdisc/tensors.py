@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import EXACT
+from .scalars import EXACT, frobenius
 
 
 def zeros(shape, bk):
@@ -32,13 +32,12 @@ def conj_arr(A, bk):
 
 def frob(A, bk):
     """Frobenius norm of an array of backend scalars, as a float."""
-    return float(np.sqrt(sum(abs(bk.to_complex(x)) ** 2 for x in np.asarray(A, dtype=object).flat)))
+    return frobenius(bk.to_complex(x) for x in np.asarray(A, dtype=object).flat)
 
 
 def all_zero(A, bk, scale=1.0):
-    if bk.name == "exact":
-        return all(not x for x in np.asarray(A, dtype=object).flat)
-    return frob(A, bk) <= bk.tol * max(1.0, scale)
+    """Whether the array A is zero under the backend's policy (bk.all_zero)."""
+    return bk.all_zero(np.asarray(A, dtype=object).flat, scale)
 
 
 def slot_contract(T, axis, M):

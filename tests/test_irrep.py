@@ -4,7 +4,7 @@ import numpy as np
 
 from cubicdisc.scalars import EXACT
 from cubicdisc.tensors import zeros, eye, frob, all_zero
-from cubicdisc import sp2, irrep, hk
+from cubicdisc import sp2, irrep, hk, linalg
 
 bk = EXACT
 
@@ -126,13 +126,31 @@ def test_wedge_normalization():
     assert all_zero(w, bk, scale=100.0)
 
 
-def test_casimir_module_v():
+def _count_rank_calls(monkeypatch):
+    calls = []
+    rank = linalg.rank
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    return calls
+
+
+def test_casimir_module_v(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
     table = irrep.casimir_decompose(irrep.module_v(bk), kmax=4, lmax=2)
     assert table == {(3, 1): 1}
+    # 5 shifted CE, 3 shifted CH, one stacked system for (3, 1).
+    assert len(calls) == 9
 
 
-def test_casimir_module_sp2():
+def test_casimir_module_sp2(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
     table = irrep.casimir_decompose(irrep.module_sp2(bk), kmax=7, lmax=1)
     assert table == {(2, 0): 1, (6, 0): 1}
+    # 8 shifted CE, 2 shifted CH, stacked systems for (2, 0) and (6, 0).
+    assert len(calls) == 12
     dims = {k: m * (k[0] + 1) * (k[1] + 1) for k, m in table.items()}
     assert dims == {(2, 0): 3, (6, 0): 7}

@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc import jsonio, irrep, hk, models, orbit
@@ -104,12 +104,32 @@ def test_hk_payload_must_be_of_hk_type():
         jsonio.loads(payload, bk)
 
 
+json_atoms = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(), st.text(alphabet="0123/-.ae ", max_size=5))
+scalar_values = st.one_of(
+    st.just(ONE), json_atoms, st.lists(json_atoms, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "b", "c", "d", "re", "im"]),
+                    json_atoms, max_size=6))
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["quartic", "hk_tensor"]),
-       keys=st.lists(st.text(alphabet="012345a ", max_size=6), max_size=4))
-def test_loaders_raise_only_value_error_on_random_keys(kind, keys):
-    payload = json.dumps({"kind": kind, "components": {k: ONE for k in keys}})
+       keys=st.lists(st.text(alphabet="012345a ", max_size=6), max_size=4),
+       values=st.lists(scalar_values, max_size=4),
+       as_list=st.booleans(), backend=st.sampled_from([EXACT, FLOAT]))
+@example(kind="quartic", keys=["1111"], values=[{"a": "1"}], as_list=False,
+         backend=EXACT)
+@example(kind="hk_tensor", keys=["1111"], values=[ONE], as_list=True,
+         backend=EXACT)
+@example(kind="quartic", keys=["1111"], values=[1], as_list=False,
+         backend=FLOAT)
+def test_loaders_raise_only_value_error_on_random_keys(kind, keys, values,
+                                                       as_list, backend):
+    comps = {k: v for k, v in zip(keys, values + [ONE] * len(keys))}
+    payload = json.dumps({"kind": kind,
+                          "components": list(comps.items()) if as_list else comps})
     try:
-        jsonio.loads(payload, bk)
-    except ValueError:
-        pass
+        jsonio.loads(payload, backend)
+    except ValueError as exc:
+        if "not a scalar" in str(exc):
+            assert any("component %r" % (k,) in str(exc) for k in comps)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubicdisc.scalars import EXACT
+from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import frob, all_zero, g8mat
 from cubicdisc import models, irrep, hk
 
@@ -13,6 +13,14 @@ def test_family_members_are_closed():
     for h in (bk.rational(-3, 2), bk.zero, bk.rational(3, 2), bk.one):
         cs = models.coframe_family(h, bk)
         assert cs.is_closed()
+
+
+def test_float_family_keeps_the_exact_entries():
+    for h in ((1, 1), (-3, 2)):
+        exact = models.coframe_family(EXACT.rational(*h), EXACT)
+        shadow = models.coframe_family(FLOAT.rational(*h), FLOAT)
+        for k in range(models.N_FORMS):
+            assert set(shadow.d[k]) == set(exact.d[k])
 
 
 def test_jacobi_identity_both_models():

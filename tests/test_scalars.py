@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicdisc.scalars import (ExactScalar, EXACT, FLOAT, FloatBackend,
                                get_backend)
+from cubicdisc.tensors import all_zero
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
@@ -79,9 +81,20 @@ def test_get_backend():
     assert isinstance(bk, FloatBackend) and bk.tol == 1e-6
     with pytest.raises(ValueError):
         get_backend("symbolic")
+    # Callers ask the backend for its policy, never for its identity.
+    assert not hasattr(EXACT, "name") and not hasattr(bk, "name")
 
 
 def test_float_is_zero_uses_tolerance():
     bk = FloatBackend(tol=1e-9)
     assert bk.is_zero(1e-12)
     assert not bk.is_zero(1e-6)
+
+
+def test_exact_zero_test_ignores_scale_and_float_underflow():
+    # 10^-400 underflows to 0.0 as a float; the exact policy must not see it.
+    x = ExactScalar(Fraction(1, 10 ** 400))
+    assert EXACT.to_complex(x) == 0
+    assert not EXACT.is_zero(x, scale=1e300)
+    assert not all_zero(np.array([EXACT.zero, x], dtype=object), EXACT, scale=1e300)
+    assert all_zero(np.array([EXACT.zero, x - x], dtype=object), EXACT)
