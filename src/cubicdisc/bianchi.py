@@ -12,7 +12,7 @@ zero solution, the second a single line, parameterized by h, with
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, frob
+from .tensors import zeros, conj_arr, pmat, eye, all_zero
 from .irrep import upsilons
 from .linalg import SparseEliminator
 
@@ -233,18 +233,19 @@ class FirstBianchiSolution:
         self.G1 = G1 * inv
 
     def structure_residuals(self):
-        """Distance of the normalized solution from the closed form
+        """Residual arrays of the normalized solution against the closed form
         F2 = P, F3 = -iP, D^s = -(2/3) Upsilon_s P, G1 = i Id."""
         bk = self.bk
         P = pmat(bk)
         out = {}
-        out["F2"] = frob(self.F2 - P, bk)
-        out["F3"] = frob(self.F3 + P * bk.i, bk)
-        out["G1"] = frob(self.G1 - eye(4, bk) * bk.i, bk)
+        out["F2"] = self.F2 - P
+        out["F3"] = self.F3 + P * bk.i
+        out["G1"] = self.G1 - eye(4, bk) * bk.i
         for s in range(3):
             expect = (upsilons(bk)[s] @ P) * bk.rational(-2, 3)
-            out["D%d" % (s + 1)] = frob(self.D[s] - expect, bk)
+            out["D%d" % (s + 1)] = self.D[s] - expect
         return out
 
     def matches_structure(self):
-        return all(v <= self.bk.tol * 10.0 for v in self.structure_residuals().values())
+        return all(all_zero(r, self.bk, scale=10.0)
+                   for r in self.structure_residuals().values())

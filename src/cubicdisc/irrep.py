@@ -142,7 +142,9 @@ def substitution_check(bk=EXACT):
 
 
 def upsilon_lemma_residuals(bk=EXACT):
-    """Residual norms of the seven structural identities of the Upsilon triple.
+    """Residual arrays of the seven structural identities of the Upsilon
+    triple, as {identity: [arrays]}; each identity holds iff all its
+    arrays vanish.
 
     1. each Upsilon_s is symmetric and j-real;
     2. <Upsilon_s, Upsilon_t> = 5 delta_st;
@@ -158,29 +160,22 @@ def upsilon_lemma_residuals(bk=EXACT):
     S = s_hat(bk).S
     out = {}
 
-    r = 0.0
-    for Us in U:
-        r = max(r, frob(Us - Us.T, bk), frob(Us - jmap4(Us, bk), bk))
-    out["symmetric_and_real"] = r
+    out["symmetric_and_real"] = [r for Us in U
+                                 for r in (Us - Us.T, Us - jmap4(Us, bk))]
 
-    r = 0.0
+    pairing = []
     for s in range(3):
         for t in range(3):
             v = sp2.inner(U[s], U[t], bk)
             if s == t:
                 v = v - bk.rational(5)
-            r = max(r, abs(bk.to_complex(v)))
-    out["pairing"] = r
+            pairing.append(np.array([v], dtype=object))
+    out["pairing"] = pairing
 
-    r = 0.0
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        r = max(r, frob(sp2.bracket(U[i], U[j], bk) - U[k], bk))
-    out["bracket"] = r
+    out["bracket"] = [sp2.bracket(U[i], U[j], bk) - U[k]
+                      for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
-    r = 0.0
-    for Us in U:
-        r = max(r, frob(quartic_action(S, Us, bk), bk))
-    out["invariance"] = r
+    out["invariance"] = [quartic_action(S, Us, bk) for Us in U]
 
     total = zeros((4, 4, 4, 4), bk)
     for Us in U:
@@ -189,18 +184,16 @@ def upsilon_lemma_residuals(bk=EXACT):
     q34 = bk.rational(3, 4)
     expect = S + np.transpose(PP, (0, 2, 1, 3)) * q34 \
                + np.transpose(PP, (0, 2, 3, 1)) * q34
-    out["sum_of_squares"] = frob(total - expect, bk)
+    out["sum_of_squares"] = [total - expect]
 
-    r = 0.0
-    for Us in U:
-        M = np.tensordot(S, P.T @ Us @ P, axes=([2, 3], [0, 1]))
-        r = max(r, frob(M - Us * bk.rational(7, 2), bk))
-    out["eigen_contraction"] = r
+    out["eigen_contraction"] = [
+        np.tensordot(S, P.T @ Us @ P, axes=([2, 3], [0, 1])) - Us * bk.rational(7, 2)
+        for Us in U]
 
     M = zeros((4, 4), bk)
     for Us in U:
         M = M + Us @ P @ Us
-    out["pi_recovery"] = frob(M - P * bk.rational(15, 4), bk)
+    out["pi_recovery"] = [M - P * bk.rational(15, 4)]
     return out
 
 
@@ -431,11 +424,14 @@ def module_v(bk=EXACT):
     return So4Module(E, H, bk)
 
 
+@lru_cache(maxsize=None)
 def ad_upsilon_matrices(bk=EXACT):
     """ad(Upsilon_s) acting on sp(2) in the dollar basis (10x10)."""
     out = []
     for U in upsilons(bk):
-        out.append(sp2.endo_matrix(lambda X, U=U: sp2.bracket(U, X, bk), bk))
+        M = sp2.endo_matrix(lambda X, U=U: sp2.bracket(U, X, bk), bk)
+        M.flags.writeable = False
+        out.append(M)
     return tuple(out)
 
 

@@ -2,8 +2,10 @@
 
 Works on matrices whose entries come from either backend (ExactScalar or
 complex).  All routines are fraction-free in spirit but simply rely on exact
-field division when the backend is exact.  Rank questions are decided by
-the backend's pivot_tol: 0 on exact, relative to the largest entry on float.
+field division when the backend is exact.  Pivots are ranked by the
+backend's pivot_weight: on exact the first nonzero entry is taken, with no
+float conversion; on float the largest |x| above pivot_tol (relative to the
+largest entry in rref) is taken.
 """
 
 import numpy as np
@@ -23,14 +25,10 @@ def real_flat(A, bk):
     return out
 
 
-def _absval(bk, x):
-    return abs(bk.to_complex(x))
-
-
 def _pivot_threshold(bk, rows):
     if not bk.pivot_tol:
         return 0.0
-    m = max((_absval(bk, x) for row in rows for x in row), default=0.0)
+    m = max((bk.pivot_weight(x) for row in rows for x in row), default=0.0)
     return max(m, 1.0) * bk.pivot_tol
 
 
@@ -49,7 +47,7 @@ def rref(M, bk, tol=None):
             break
         best, bestv = None, tol
         for k in range(r, len(rows)):
-            v = _absval(bk, rows[k][c])
+            v = bk.pivot_weight(rows[k][c])
             if v > bestv:
                 best, bestv = k, v
         if best is None:
@@ -58,7 +56,7 @@ def rref(M, bk, tol=None):
         piv = rows[r][c]
         rows[r] = [x / piv for x in rows[r]]
         for k in range(len(rows)):
-            if k != r and _absval(bk, rows[k][c]) > 0.0:
+            if k != r and rows[k][c]:
                 f = rows[k][c]
                 rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -139,7 +137,7 @@ class SparseEliminator:
         self.tol = bk.pivot_tol if tol is None else tol
 
     def _clean(self, row):
-        return {c: v for c, v in row.items() if _absval(self.bk, v) > self.tol}
+        return {c: v for c, v in row.items() if self.bk.pivot_weight(v) > self.tol}
 
     def add_row(self, row):
         row = self._clean(dict(row))
@@ -156,13 +154,13 @@ class SparseEliminator:
                 if c == hit:
                     continue
                 w = row.get(c, self.bk.zero) - f * v
-                if _absval(self.bk, w) > self.tol:
+                if self.bk.pivot_weight(w) > self.tol:
                     row[c] = w
                 else:
                     row.pop(c, None)
         if not row:
             return
-        piv = max(row, key=lambda c: _absval(self.bk, row[c]))
+        piv = max(row, key=lambda c: self.bk.pivot_weight(row[c]))
         pv = row[piv]
         row = {c: v / pv for c, v in row.items()}
         self.pivot_rows[piv] = row
@@ -181,7 +179,7 @@ class SparseEliminator:
                             if cc == c:
                                 continue
                             w = row.get(cc, self.bk.zero) - f * vv
-                            if _absval(self.bk, w) > self.tol:
+                            if self.bk.pivot_weight(w) > self.tol:
                                 row[cc] = w
                             else:
                                 row.pop(cc, None)

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, pmat, g8mat, jmats, frob, FLIP
+from .tensors import zeros, pmat, g8mat, jmats, FLIP
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
@@ -123,17 +123,18 @@ class CoframeSystem:
         return c
 
     def jacobi_residual(self):
-        """Worst residual of the Jacobi identity over all 364 index triples."""
+        """The Jacobi identity's residual over all 364 index triples i < j < k:
+        row t of the result is the residual vector of the t-th triple."""
         bk = self.bk
         c = self.structure_constants()
-        worst = 0.0
+        rows = []
         for i, j, k in itertools.combinations(range(N_FORMS), 3):
             res = zeros((N_FORMS,), bk)
             for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
                 w = c[:, a, b]
                 res = res + np.tensordot(c[:, :, e], w, axes=([1], [0]))
-            worst = max(worst, frob(res, bk))
-        return worst
+            rows.append(res)
+        return np.array(rows, dtype=object)
 
 
 def coframe_family(h, bk=EXACT):

@@ -1,13 +1,17 @@
 """Exact arithmetic in the field Q(i, sqrt(3)), plus a floating-point shadow backend.
 
 Every constant appearing in the library (i, sqrt(3), 3/4, 21/8, ...) lives in
-the number field Q(i, sqrt(3)).  We represent an element as
+the number field Q(i, sqrt(3)).  We represent an element as four integers
+over one common denominator,
 
-    a + b*i + c*sqrt(3) + d*i*sqrt(3)
+    (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q,
 
-with rational coefficients a, b, c, d.  Inversion multiplies by the product of
-the three nontrivial Galois conjugates and divides by the resulting rational
-norm, so no general number-field machinery is needed.
+always in lowest terms: q > 0 and gcd(a, b, c, d, q) == 1, so equal values
+have equal representations.  A product is 16 integer multiplies and one
+5-way gcd; a sum over equal denominators is 4 integer adds and one gcd.
+Every zero is the one shared zero object.  Inversion multiplies by the
+Galois conjugates and divides by the resulting rational norm, so no general
+number-field machinery is needed.
 
 The float backend maps everything to Python complex numbers; it is used as a
 cross-check shadow of the exact computations.
@@ -17,6 +21,7 @@ from fractions import Fraction
 import math
 
 _SQRT3 = math.sqrt(3.0)
+_gcd = math.gcd
 
 
 def _frac(x):
@@ -30,155 +35,235 @@ def _frac(x):
 
 
 class ExactScalar:
-    """An element a + b*i + c*sqrt(3) + d*i*sqrt(3) of Q(i, sqrt(3)).
+    """An element (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q of Q(i, sqrt(3)).
+
+    The constructor takes the four rational coefficients (int, Fraction or
+    str); `.a` to `.d` give them back as Fractions.
 
     >>> x = ExactScalar(1, 0, 0, 1)   # 1 + i*sqrt(3)
     >>> y = ExactScalar(1, 0, 0, -1)  # 1 - i*sqrt(3)
     >>> x * y
     ExactScalar(4)
+    >>> ExactScalar("1/2", 0, "3/4").ints()
+    (2, 0, 3, 0, 4)
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    # _v is the normal form (a, b, c, d, q) of the module docstring.
+    __slots__ = ("_v",)
 
-    def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+    def __new__(cls, a=0, b=0, c=0, d=0):
+        fs = tuple(_frac(x) for x in (a, b, c, d))
+        q = math.lcm(*(f.denominator for f in fs))
+        return _make(*(f.numerator * (q // f.denominator) for f in fs), q)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
     # -- conversions ------------------------------------------------------
 
+    def ints(self):
+        """The normal form (a, b, c, d, q): the value is (a + b*i + c*sqrt(3)
+        + d*i*sqrt(3)) / q with q > 0 and gcd(a, b, c, d, q) == 1."""
+        return self._v
+
+    @property
+    def a(self):
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def b(self):
+        return Fraction(self._v[1], self._v[4])
+
+    @property
+    def c(self):
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def d(self):
+        return Fraction(self._v[3], self._v[4])
+
     def coeffs(self):
-        return (self.a, self.b, self.c, self.d)
+        a, b, c, d, q = self._v
+        return (Fraction(a, q), Fraction(b, q), Fraction(c, q), Fraction(d, q))
 
     def to_complex(self):
-        return complex(float(self.a) + float(self.c) * _SQRT3,
-                       float(self.b) + float(self.d) * _SQRT3)
+        # Each int / int is correctly rounded, as float(Fraction) is.
+        a, b, c, d, q = self._v
+        return complex(a / q + c / q * _SQRT3, b / q + d / q * _SQRT3)
 
     def real_part(self):
         """The real part a + c*sqrt(3), as an ExactScalar."""
-        return ExactScalar(self.a, 0, self.c, 0)
+        a, _, c, _, q = self._v
+        return _make(a, 0, c, 0, q)
 
     def imag_part(self):
         """The imaginary part b + d*sqrt(3), as a real ExactScalar."""
-        return ExactScalar(self.b, 0, self.d, 0)
-
-    def is_rational(self):
-        return self.b == 0 and self.c == 0 and self.d == 0
+        _, b, _, d, q = self._v
+        return _make(b, 0, d, 0, q)
 
     # -- ring structure ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, ExactScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return ExactScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        if self is _ZERO:
+            return other
+        if other is _ZERO:
+            return self
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                     c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return ExactScalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        if other is _ZERO:
+            return self
+        if self is _ZERO:
+            return -other
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _make(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                     c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return o - self
+        return other - self
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _make(-a, -b, -c, -d, q)
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        if not self or not o:
+        if self is _ZERO or other is _ZERO:
             return _ZERO
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return ExactScalar(
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        return _make(
             a1 * a2 - b1 * b2 + 3 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            q1 * q2,
         )
 
     __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugation: fixes a, c and negates b, d."""
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
-
-    def galois(self, flip_i=False, flip_r=False):
-        """Apply the Galois automorphism sending i -> -i and/or sqrt(3) -> -sqrt(3)."""
-        si = -1 if flip_i else 1
-        sr = -1 if flip_r else 1
-        return ExactScalar(self.a, si * self.b, sr * self.c, si * sr * self.d)
+        a, b, c, d, q = self._v
+        return _make(a, -b, c, -d, q)
 
     def inv(self):
-        if not self:
+        if self is _ZERO:
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt(3))")
-        p = self.galois(True, False) * self.galois(False, True) * self.galois(True, True)
-        n = self * p
-        # The product of all four Galois conjugates is the rational field norm.
-        assert n.is_rational() and n.a != 0
-        return ExactScalar(p.a / n.a, p.b / n.a, p.c / n.a, p.d / n.a)
+        # Write the numerator as A + B*sqrt(3) with A = a + b*i, B = c + d*i.
+        # Then 1/(A + B sqrt3) = (A - B sqrt3) * conj(g) / |g|^2 with
+        # g = A^2 - 3 B^2 = re + im*i, and |g|^2 is the rational field norm.
+        a, b, c, d, q = self._v
+        re = a * a - b * b - 3 * (c * c - d * d)
+        im = 2 * (a * b - 3 * c * d)
+        return _make(q * (a * re + b * im), q * (b * re - a * im),
+                     -q * (c * re + d * im), q * (c * im - d * re),
+                     re * re + im * im)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return self * o.inv()
+        return self * other.inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return o * self.inv()
+        return other * self.inv()
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return self.coeffs() == o.coeffs()
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(self.coeffs())
+        # Rational values hash like the equal int or Fraction.
+        a, b, c, d, q = self._v
+        if not (b or c or d):
+            return hash(Fraction(a, q))
+        return hash(self._v)
 
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return self is not _ZERO
+
+    def __reduce__(self):
+        # Copies and unpickled values go through _make, so a zero is _ZERO.
+        return (_make, self._v)
 
     def __repr__(self):
+        a, b, c, d = self.coeffs()
         parts = []
-        for coef, unit in zip(self.coeffs(), ("", "i", "r3", "ir3")):
+        for coef, unit in zip((a, b, c, d), ("", "i", "r3", "ir3")):
             if coef:
                 parts.append(repr(coef) if not unit else "%r*%s" % (coef, unit))
         if not parts:
             return "ExactScalar(0)"
-        if len(parts) == 1 and not any((self.b, self.c, self.d)):
-            return "ExactScalar(%s)" % (self.a,)
+        if len(parts) == 1 and not any((b, c, d)):
+            return "ExactScalar(%s)" % (a,)
         return "ExactScalar<%s>" % " + ".join(parts)
 
 
-_ZERO = ExactScalar(0)
+_new = object.__new__
+_set_v = ExactScalar._v.__set__
+
+
+def _make(a, b, c, d, q):
+    """The ExactScalar (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q, for q > 0,
+    brought to normal form; every zero is _ZERO."""
+    if not (a or b or c or d):
+        return _ZERO
+    g = _gcd(a, b, c, d, q)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        q //= g
+    s = _new(ExactScalar)
+    _set_v(s, (a, b, c, d, q))
+    return s
+
+
+def _coerce(x):
+    if x.__class__ is ExactScalar:
+        return x
+    if isinstance(x, int):
+        return _make(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, 0, 0, x.denominator)
+    return None
+
+
+_ZERO = _new(ExactScalar)
+_set_v(_ZERO, (0, 0, 0, 0, 1))
 
 
 def frobenius(values):
@@ -217,6 +302,11 @@ class ExactBackend:
 
     def all_zero(self, values, scale=1.0):
         return not any(values)
+
+    def pivot_weight(self, x):
+        """How elimination ranks x as a pivot: 1 if x is nonzero, else 0.
+        Every nonzero pivot is exact, so the first one found is taken."""
+        return 1 if x else 0
 
     def to_complex(self, x):
         return x.to_complex()
@@ -265,6 +355,11 @@ class FloatBackend:
 
     def all_zero(self, values, scale=1.0):
         return frobenius(values) <= self.tol * max(1.0, scale)
+
+    def pivot_weight(self, x):
+        """How elimination ranks x as a pivot: |x|, so the largest entry
+        above the threshold is taken."""
+        return abs(x)
 
     def to_complex(self, x):
         return complex(x)

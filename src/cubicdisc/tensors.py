@@ -9,7 +9,6 @@ full 8-dimensional tensors are reconstructed on demand (indices 0..3
 unbarred, 4..7 barred).
 """
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -105,11 +104,20 @@ def jmats(bk=EXACT):
 
 def sym4(S, bk):
     """Average an array of rank >= 4 over the 24 permutations of its first
-    four slots; a rank-4 array comes out totally symmetric."""
-    rest = tuple(range(4, S.ndim))
-    total = zeros(S.shape, bk)
-    for perm in itertools.permutations(range(4)):
-        total = total + np.transpose(S, perm + rest)
+    four slots; a rank-4 array comes out totally symmetric.
+
+    The sum over S_4 is built one slot at a time: the identity and the
+    transpositions (j k), j < k, are coset representatives of S_{k-1} in
+    S_k, so sum_{S_k} = (1 + sum_{j<k} (j k)) sum_{S_{k-1}}.  That is 6
+    array additions instead of 23, and the same sum."""
+    total = S
+    for k in range(1, 4):
+        part = total
+        for j in range(k):
+            perm = list(range(S.ndim))
+            perm[j], perm[k] = k, j
+            part = part + np.transpose(total, perm)
+        total = part
     return total * bk.rational(1, 24)
 
 

@@ -57,4 +57,4 @@ def test_full_system_solution():
     assert sol.matches_structure()
     res = sol.structure_residuals()
     assert set(res) == {"F2", "F3", "G1", "D1", "D2", "D3"}
-    assert all(v == 0.0 for v in res.values())
+    assert all(all_zero(r, bk) for r in res.values())

@@ -48,8 +48,8 @@ def test_upsilon_lemma_all_exact():
     assert set(res) == {"symmetric_and_real", "pairing", "bracket",
                         "invariance", "sum_of_squares", "eigen_contraction",
                         "pi_recovery"}
-    for name, value in res.items():
-        assert value == 0.0, name
+    for name, arrays in res.items():
+        assert all(all_zero(r, bk) for r in arrays), name
 
 
 def test_quartic_golden_components():

@@ -1,8 +1,10 @@
 """Gaussian elimination over both scalar backends."""
 
+from fractions import Fraction
+
 import pytest
 
-from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc import linalg
 
 
@@ -83,3 +85,17 @@ def test_sparse_matches_dense():
             for i, x in enumerate(row):
                 s = s + v[i] * EXACT.rational(x)
             assert not s
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 10 ** 400), 10 ** 400],
+                         ids=["tiny", "huge"])
+def test_exact_pivots_need_no_float(entry):
+    # 10^-400 underflows and 10^400 overflows as a float; exact elimination
+    # must see a nonzero pivot in both.
+    x = ExactScalar(entry)
+    assert linalg.rank([[x]], EXACT) == 1
+    assert linalg.nullspace([[x, x]], EXACT) == [[-EXACT.one, EXACT.one]]
+    elim = linalg.SparseEliminator(2, EXACT)
+    elim.add_row({0: x, 1: x})
+    elim.add_row({0: x, 1: x * 2})
+    assert elim.rank() == 2

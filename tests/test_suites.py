@@ -1,0 +1,58 @@
+"""Exact check verdicts are decided in the field, not through float norms."""
+
+from fractions import Fraction
+
+import pytest
+
+from cubicdisc.scalars import EXACT, ExactScalar
+from cubicdisc import bianchi, irrep, models, suites
+
+# 10^-400 underflows to 0.0 as a float, so a float norm cannot see it.
+TINY = ExactScalar(Fraction(1, 10 ** 400))
+
+
+def _inject(arr):
+    out = arr.copy()
+    out.flat[0] = out.flat[0] + TINY
+    return out
+
+
+def _check(checks, name):
+    (check,) = [c for c in checks if c.name == name]
+    return check
+
+
+def test_upsilon_lemma_fails_on_tiny_residual(monkeypatch):
+    real = irrep.upsilon_lemma_residuals
+
+    def tampered(bk):
+        res = real(bk)
+        res["pi_recovery"] = [_inject(r) for r in res["pi_recovery"]]
+        return res
+
+    monkeypatch.setattr(irrep, "upsilon_lemma_residuals", tampered)
+    check = _check(suites.run_irrep(EXACT), "upsilon_lemma")
+    assert not check.passed and check.residual == 0.0
+
+
+@pytest.mark.parametrize("model", ["compact", "split"])
+def test_jacobi_fails_on_tiny_residual(monkeypatch, model):
+    real = models.CoframeSystem.jacobi_residual
+    monkeypatch.setattr(models.CoframeSystem, "jacobi_residual",
+                        lambda self: _inject(real(self)))
+    check = _check(suites.run_models(EXACT), "jacobi_" + model)
+    assert not check.passed and check.residual == 0.0
+
+
+def test_solution_structure_fails_on_tiny_residual(monkeypatch):
+    real = bianchi.FirstBianchiSolution.structure_residuals
+
+    def tampered(self):
+        res = real(self)
+        res["G1"] = _inject(res["G1"])
+        return res
+
+    monkeypatch.setattr(bianchi.FirstBianchiSolution, "structure_residuals",
+                        tampered)
+    check = _check(suites.run_bianchi(EXACT), "solution_structure")
+    assert not check.passed and check.residual == 0.0

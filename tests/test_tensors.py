@@ -1,8 +1,12 @@
 """Structure tensors, the antilinear j-map, and symmetrization on raw arrays."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
-from cubicdisc.scalars import EXACT
+from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import (zeros, pmat, eye, g8mat, jmats, frob, all_zero,
                                FLIP, jmap4, sym4, is_totally_symmetric)
 
@@ -44,10 +48,9 @@ def test_flip_matches_metric():
 
 
 def _random_tensor(rank, seed=3):
-    import random
     rng = random.Random(seed)
     comps = zeros((4,) * rank, bk)
-    for idx in __import__("itertools").product(range(4), repeat=rank):
+    for idx in itertools.product(range(4), repeat=rank):
         comps[idx] = bk.scalar(rng.randint(-2, 2), rng.randint(-2, 2))
     return comps
 
@@ -62,10 +65,9 @@ def test_jmap_is_involution_up_to_sign():
 
 
 def test_sym4_and_symmetry_predicate():
-    import random
     rng = random.Random(0)
     S = zeros((4, 4, 4, 4), bk)
-    for idx in __import__("itertools").product(range(4), repeat=4):
+    for idx in itertools.product(range(4), repeat=4):
         S[idx] = bk.rational(rng.randint(-3, 3))
     Ssym = sym4(S, bk)
     assert is_totally_symmetric(Ssym, bk)
@@ -73,9 +75,37 @@ def test_sym4_and_symmetry_predicate():
 
 
 def test_jmap4_involution():
-    import random, itertools
     rng = random.Random(1)
     S = zeros((4, 4, 4, 4), bk)
     for idx in itertools.product(range(4), repeat=4):
         S[idx] = bk.scalar(rng.randint(-2, 2), rng.randint(-2, 2))
     assert all_zero(jmap4(jmap4(S, bk), bk) - S, bk, scale=frob(S, bk))
+
+
+def _sym4_reference(S, bk):
+    """sym4 as the plain sum over the 24 permutations of the first four slots."""
+    rest = tuple(range(4, S.ndim))
+    total = zeros(S.shape, bk)
+    for perm in itertools.permutations(range(4)):
+        total = total + np.transpose(S, perm + rest)
+    return total * bk.rational(1, 24)
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+def test_sym4_matches_permutation_sum_exact(rank):
+    rng = random.Random(rank)
+    S = zeros((4,) * rank, bk)
+    for idx in itertools.product(range(4), repeat=rank):
+        S[idx] = bk.scalar(*("%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(4)))
+    assert (sym4(S, bk) == _sym4_reference(S, bk)).all()
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+def test_sym4_matches_permutation_sum_float(rank):
+    rng = np.random.default_rng(rank)
+    shape = (4,) * rank
+    S = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(object)
+    got = sym4(S, FLOAT).astype(complex)
+    want = _sym4_reference(S, FLOAT).astype(complex)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
