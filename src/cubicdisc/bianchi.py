@@ -14,7 +14,7 @@ import numpy as np
 from .scalars import EXACT
 from .tensors import zeros, conj_arr, pmat, eye, all_zero
 from .irrep import upsilons
-from .linalg import SparseEliminator
+from .linalg import eliminate
 
 
 def _threeterm(U, M):
@@ -118,29 +118,16 @@ def _zero4(bk):
 def _nullspace_of_columns(column_tensors, bk):
     """Real nullspace of the linear system whose k-th column is the list of
     residual tensors produced by unit value of unknown k."""
-    nunk = len(column_tensors)
-    elim = SparseEliminator(nunk, bk)
-    ntens = len(column_tensors[0])
-    for t in range(ntens):
-        flats = [np.asarray(column_tensors[k][t], dtype=object).reshape(-1)
-                 for k in range(nunk)]
-        for m in range(flats[0].shape[0]):
-            row_re = {}
-            row_im = {}
-            for k in range(nunk):
-                v = flats[k][m]
-                if not v:
-                    continue
-                re, im = bk.re(v), bk.im(v)
-                if re:
-                    row_re[k] = re
-                if im:
-                    row_im[k] = im
-            if row_re:
-                elim.add_row(row_re)
-            if row_im:
-                elim.add_row(row_im)
-    return elim.nullspace()
+    rows = []
+    for t in range(len(column_tensors[0])):
+        flats = [np.asarray(col[t], dtype=object).reshape(-1)
+                 for col in column_tensors]
+        for entries in zip(*flats):
+            for part in (bk.re, bk.im):
+                row = {k: p for k, v in enumerate(entries) if v and (p := part(v))}
+                if row:
+                    rows.append(row)
+    return eliminate(rows, len(column_tensors), bk).nullspace()
 
 
 def stage_one_nullspace(bk=EXACT):

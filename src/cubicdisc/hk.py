@@ -222,8 +222,6 @@ def solve_generator(K, L, bk):
     rhs = []
     flatL = Lf.reshape(-1)
     for k in range(flatL.shape[0]):
-        if not any(col[k] for col in cols) and not flatL[k]:
-            continue
         rows.append([bk.re(col[k]) for col in cols])
         rhs.append(bk.re(flatL[k]))
         rows.append([bk.im(col[k]) for col in cols])

@@ -354,7 +354,9 @@ class So4Module:
         if not closes_as_sp1(self.e_gens, bk, scale):
             raise ValueError("first factor generators do not close as sp(1)")
         hscale = max(frob(self.h_gens[0], bk), 1.0)
-        if any(frob(H, bk) > 0 for H in self.h_gens):
+        # A zero second factor (module_sp2) closes trivially; all_zero is the
+        # backend's zero test, so an exact factor that underflows is checked.
+        if not all(all_zero(H, bk) for H in self.h_gens):
             if not closes_as_sp1(self.h_gens, bk, hscale):
                 raise ValueError("second factor generators do not close as sp(1)")
         for E in self.e_gens:
@@ -454,23 +456,12 @@ def upsilon_perp_basis(bk=EXACT):
 
 def module_56(bk=EXACT):
     """V^C tensor (sp(1)_ir-complement in S^2 W*): the 56-dimensional torsion carrier."""
-    perp = upsilon_perp_basis(bk)  # 7 vectors of length 10
-    ad_ups = ad_upsilon_matrices(bk)
-    B = np.empty((10, 7), dtype=object)
-    for j, v in enumerate(perp):
-        for i in range(10):
-            B[i, j] = v[i]
-    # Restrict ad(Upsilon_s) to the complement: solve B * M_s = ad_s * B.
-    restricted = []
-    for A in ad_ups:
-        AB = A @ B
-        M = zeros((7, 7), bk)
-        for j in range(7):
-            col = linalg.solve([list(B[i]) for i in range(10)],
-                               list(AB[:, j]), bk)
-            for i in range(7):
-                M[i, j] = col[i]
-        restricted.append(M)
+    # The columns of B (10 x 7) span the complement.
+    B = np.array(upsilon_perp_basis(bk), dtype=object).T
+    # Restrict ad(Upsilon_s) to the complement: solve B * M_s = ad_s * B,
+    # for the three s at once.
+    M = linalg.solve(B, np.hstack([A @ B for A in ad_upsilon_matrices(bk)]), bk)
+    restricted = [M[:, 7 * s:7 * s + 7] for s in range(3)]
     Ev = script_e_frames(bk)
     J = jmats(bk)
     I8 = eye(8, bk)

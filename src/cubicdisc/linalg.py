@@ -1,18 +1,19 @@
 """Gaussian elimination over a scalar backend.
 
-Works on matrices whose entries come from either backend (ExactScalar or
-complex).  All routines are fraction-free in spirit but simply rely on exact
-field division when the backend is exact.  Pivots are ranked by the
-backend's pivot_weight: on exact the first nonzero entry is taken, with no
-float conversion; on float the largest |x| above pivot_tol (relative to the
-largest entry in rref) is taken.
+One engine, `SparseEliminator`, does every elimination: `rank`, `nullspace`,
+`solve`, `inverse` and `rref` hand it their rows and read off the result.
+Rows are dicts {column: scalar}; right-hand sides sit in the columns at or
+past `ncols`, which never become pivots.  The pivot of a row is its entry
+of largest `bk.pivot_weight`, the first one on a tie; on exact every nonzero
+weight is 1, so no entry is converted to a float.
+
+One zero rule holds throughout: an entry is zero iff its pivot_weight is at
+most `bk.pivot_tol * max(1, w)`, where w is the largest pivot_weight among
+the system's rows (the rows added so far, for an eliminator fed row by
+row).  On exact pivot_tol is 0, so only an identically zero entry is zero.
 """
 
 import numpy as np
-
-
-def _as_rows(M):
-    return [list(row) for row in M]
 
 
 def real_flat(A, bk):
@@ -25,172 +26,78 @@ def real_flat(A, bk):
     return out
 
 
-def _pivot_threshold(bk, rows):
-    if not bk.pivot_tol:
-        return 0.0
-    m = max((bk.pivot_weight(x) for row in rows for x in row), default=0.0)
-    return max(m, 1.0) * bk.pivot_tol
-
-
-def rref(M, bk, tol=None):
-    """Reduced row echelon form.  Returns (rows, pivot_column_list)."""
-    rows = _as_rows(M)
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    if tol is None:
-        tol = _pivot_threshold(bk, rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        best, bestv = None, tol
-        for k in range(r, len(rows)):
-            v = bk.pivot_weight(rows[k][c])
-            if v > bestv:
-                best, bestv = k, v
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank(M, bk, tol=None):
-    _, pivots = rref(M, bk, tol=tol)
-    return len(pivots)
-
-
-def nullspace(M, bk, tol=None):
-    """Basis of the right nullspace, as a list of column vectors (lists)."""
-    rows = _as_rows(M)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    R, pivots = rref(rows, bk, tol=tol)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [bk.zero] * ncols
-        v[f] = bk.one
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve(A, b, bk, tol=None):
-    """Solve A x = b exactly; raises ValueError when inconsistent.
-
-    Returns one particular solution (free variables set to zero).
-    """
-    rows = _as_rows(A)
-    ncols = len(rows[0]) if rows else 0
-    aug = [row + [bb] for row, bb in zip(rows, b)]
-    if tol is None:
-        tol = _pivot_threshold(bk, rows) if rows else 0.0
-    R, pivots = rref(aug, bk, tol=tol)
-    for r, row in enumerate(R):
-        if r < len(pivots) and pivots[r] == ncols:
-            raise ValueError("inconsistent linear system")
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    x = [bk.zero] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = R[r][ncols]
-    return x
-
-
-def inverse(A, bk):
-    rows = _as_rows(A)
-    n = len(rows)
-    aug = [rows[i] + [bk.one if i == j else bk.zero for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug, bk)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = R[i][n + j]
-    return out
-
-
 class SparseEliminator:
-    """Incremental row reduction for sparse systems.
+    """Incremental row reduction.
 
-    Rows are dicts {column: scalar}.  Used for the large first-Bianchi
-    systems, where each equation touches only a handful of unknowns.
+    Rows are dicts {column: scalar}.  `add_row` reduces a row by the pivot
+    rows found so far; `_back_reduce` then leaves each pivot row with 1 at
+    its pivot and nothing in any other pivot column.
     """
 
-    def __init__(self, ncols, bk, tol=None):
+    def __init__(self, ncols, bk):
         self.ncols = ncols
         self.bk = bk
         self.pivot_rows = {}
-        self.tol = bk.pivot_tol if tol is None else tol
+        self.scale = 0.0
+        self._widen(())
 
-    def _clean(self, row):
-        return {c: v for c, v in row.items() if self.bk.pivot_weight(v) > self.tol}
+    def _widen(self, values):
+        """Raise the system's largest pivot_weight to cover `values`."""
+        weights = map(self.bk.pivot_weight, values)
+        self.scale = max(self.scale, max(weights, default=0.0))
+        self._tiny = self.bk.pivot_tol * max(1.0, self.scale)
+
+    def _subtract(self, row, c):
+        """Eliminate column c of row with the pivot row of c."""
+        weight, tiny, zero = self.bk.pivot_weight, self._tiny, self.bk.zero
+        f = row.pop(c)
+        for cc, v in self.pivot_rows[c].items():
+            if cc != c:
+                w = row.get(cc, zero) - f * v
+                if weight(w) > tiny:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+
+    def _reduce(self, row, keep=None):
+        """Eliminate from row every pivot column but `keep`."""
+        while True:
+            hit = next((c for c in row if c != keep and c in self.pivot_rows), None)
+            if hit is None:
+                return
+            self._subtract(row, hit)
 
     def add_row(self, row):
-        row = self._clean(dict(row))
-        while row:
-            hit = None
-            for c in row:
-                if c in self.pivot_rows:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            f = row.pop(hit)
-            for c, v in self.pivot_rows[hit].items():
-                if c == hit:
-                    continue
-                w = row.get(c, self.bk.zero) - f * v
-                if self.bk.pivot_weight(w) > self.tol:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        if not row:
-            return
-        piv = max(row, key=lambda c: self.bk.pivot_weight(row[c]))
+        """Reduce row by the pivot rows; True iff it yields a new pivot.
+
+        Raises ValueError when it reduces to right-hand-side entries only,
+        that is, when the system has no solution.
+        """
+        weight = self.bk.pivot_weight
+        self._widen(row.values())
+        row = {c: x for c, x in row.items() if weight(x) > self._tiny}
+        self._reduce(row)
+        cands = [c for c in row if c < self.ncols]
+        if not cands:
+            if row:
+                raise ValueError("inconsistent linear system")
+            return False
+        piv = max(cands, key=lambda c: weight(row[c]))
         pv = row[piv]
-        row = {c: v / pv for c, v in row.items()}
-        self.pivot_rows[piv] = row
+        self.pivot_rows[piv] = {c: x / pv for c, x in row.items()}
+        return True
 
     def _back_reduce(self):
-        cols = sorted(self.pivot_rows)
-        for p in cols:
-            row = self.pivot_rows[p]
-            changed = True
-            while changed:
-                changed = False
-                for c in list(row):
-                    if c != p and c in self.pivot_rows and c in row:
-                        f = row.pop(c)
-                        for cc, vv in self.pivot_rows[c].items():
-                            if cc == c:
-                                continue
-                            w = row.get(cc, self.bk.zero) - f * vv
-                            if self.bk.pivot_weight(w) > self.tol:
-                                row[cc] = w
-                            else:
-                                row.pop(cc, None)
-                        changed = True
-            self.pivot_rows[p] = row
+        for p in sorted(self.pivot_rows):
+            self._reduce(self.pivot_rows[p], keep=p)
 
     def nullspace(self):
+        """Basis of the right nullspace, one vector (list) per free column."""
         self._back_reduce()
-        free = [c for c in range(self.ncols) if c not in self.pivot_rows]
         basis = []
-        for f in free:
+        for f in range(self.ncols):
+            if f in self.pivot_rows:
+                continue
             v = [self.bk.zero] * self.ncols
             v[f] = self.bk.one
             for p, row in self.pivot_rows.items():
@@ -202,3 +109,70 @@ class SparseEliminator:
 
     def rank(self):
         return len(self.pivot_rows)
+
+
+def eliminate(rows, ncols, bk):
+    """A SparseEliminator fed the dict rows `rows`, whose zero rule is taken
+    from all of them at once."""
+    elim = SparseEliminator(ncols, bk)
+    elim._widen(x for row in rows for x in row.values())
+    for row in rows:
+        elim.add_row(row)
+    return elim
+
+
+def _eliminate_dense(M, bk, ncols=None):
+    """Eliminate the dense rows of M; columns at or past ncols are
+    right-hand sides (default: none)."""
+    if ncols is None:
+        ncols = len(M[0]) if len(M) else 0
+    return eliminate([{c: x for c, x in enumerate(row) if x} for row in M],
+                     ncols, bk)
+
+
+def rref(M, bk):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    elim = _eliminate_dense(M, bk)
+    elim._back_reduce()
+    pivots = sorted(elim.pivot_rows)
+    rows = [[elim.pivot_rows[p].get(c, bk.zero) for c in range(elim.ncols)]
+            for p in pivots]
+    return rows, pivots
+
+
+def rank(M, bk):
+    return _eliminate_dense(M, bk).rank()
+
+
+def nullspace(M, bk):
+    """Basis of the right nullspace, as a list of column vectors (lists)."""
+    return _eliminate_dense(M, bk).nullspace()
+
+
+def solve(A, b, bk):
+    """One solution of A x = b, free variables set to zero; raises
+    ValueError when the system is inconsistent.
+
+    b is a vector, or a matrix whose columns are right-hand sides; x is a
+    list, or a matrix with one column per right-hand side.
+    """
+    b = np.asarray(b, dtype=object)
+    B = b.reshape(len(b), -1)
+    n = len(A[0])
+    rows = [list(a) + list(r) for a, r in zip(A, B)]
+    elim = _eliminate_dense(rows, bk, ncols=n)
+    elim._back_reduce()
+    X = np.full((n, B.shape[1]), bk.zero, dtype=object)
+    for p, row in elim.pivot_rows.items():
+        for j in range(B.shape[1]):
+            X[p, j] = row.get(n + j, bk.zero)
+    return list(X[:, 0]) if b.ndim == 1 else X
+
+
+def inverse(A, bk):
+    n = len(A)
+    eye = [[bk.one if i == j else bk.zero for j in range(n)] for i in range(n)]
+    try:
+        return solve(A, eye, bk)
+    except ValueError:
+        raise ValueError("singular matrix") from None

@@ -109,7 +109,7 @@ def cd_averaged_residual(S, bk):
     return sym4(t1 + t2 + t3 + t4, bk)
 
 
-def is_cd_coordinates(K_or_S, bk=None):
+def is_cd_coordinates(K_or_S):
     """Coordinate-level test on the quartic S = kappa_inv(K)."""
     if isinstance(K_or_S, HKTensor):
         S = kappa_inv(K_or_S)
@@ -146,11 +146,9 @@ def stabilizer(S, bk=EXACT):
     """
     if isinstance(S, SymQuartic):
         S = S.S
-    rows = _action_rows(S, bk)
-    # The action matrix has the ten generators as columns; stabilizer
-    # coefficients are its nullspace.
-    cols = [list(col) for col in zip(*rows)]
-    null = linalg.nullspace(cols, bk)
+    # Stabilizer coefficients are the nullspace of the action matrix, whose
+    # columns are the ten generators' rows.
+    null = linalg.nullspace(list(zip(*_action_rows(S, bk))), bk)
     stab = []
     for v in null:
         X = zeros((4, 4), bk)

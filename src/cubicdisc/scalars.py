@@ -324,8 +324,9 @@ class ExactBackend:
 class FloatBackend:
     """Shadow backend over double-precision complex numbers.  A value or
     array is zero if its absolute value or Frobenius norm is at most
-    tol * max(1, scale); elimination treats entries at most pivot_tol
-    (relative to the largest entry in rref) as zero."""
+    tol * max(1, scale); elimination treats an entry as zero if its
+    absolute value is at most pivot_tol * max(1, the largest absolute
+    value in the system)."""
 
     pivot_tol = 1e-7
 

@@ -208,14 +208,12 @@ def real_basis(bk=EXACT):
         jB = jmap4(B, bk)
         cands.append(B + jB)
         cands.append((B - jB) * i)
-    # Select an independent subset by rank over the reals.
+    # Select an independent subset over the reals.
+    elim = linalg.SparseEliminator(32, bk)  # 16 entries, re and im
     chosen = []
-    rows = []
     for C in cands:
-        row = linalg.real_flat(C, bk)
-        if linalg.rank(rows + [row], bk) > len(chosen):
+        if elim.add_row(dict(enumerate(linalg.real_flat(C, bk)))):
             chosen.append(C)
-            rows.append(row)
         if len(chosen) == 10:
             break
     if len(chosen) != 10:

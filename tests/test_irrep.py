@@ -1,8 +1,11 @@
 """The irreducible representation, the quartic, projections, Casimirs."""
 
-import numpy as np
+from fractions import Fraction
 
-from cubicdisc.scalars import EXACT
+import numpy as np
+import pytest
+
+from cubicdisc.scalars import EXACT, ExactScalar
 from cubicdisc.tensors import zeros, eye, frob, all_zero
 from cubicdisc import sp2, irrep, hk, linalg
 
@@ -154,3 +157,13 @@ def test_casimir_module_sp2(monkeypatch):
     assert len(calls) == 12
     dims = {k: m * (k[0] + 1) * (k[1] + 1) for k, m in table.items()}
     assert dims == {(2, 0): 3, (6, 0): 7}
+
+
+def test_closure_checks_an_underflowing_second_factor():
+    # Every entry of H is 10^-400: a float norm reads 0, yet the triple does
+    # not close as sp(1) ([H, H] = 0 != H), so the check must fail on exact.
+    H = eye(8, bk) * ExactScalar(Fraction(1, 10 ** 400))
+    assert not irrep.closes_as_sp1([H] * 3, bk, 1.0)
+    module = irrep.So4Module(irrep.module_v(bk).e_gens, [H] * 3, bk)
+    with pytest.raises(ValueError):
+        module.check_closure()

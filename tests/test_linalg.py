@@ -99,3 +99,52 @@ def test_exact_pivots_need_no_float(entry):
     elim.add_row({0: x, 1: x})
     elim.add_row({0: x, 1: x * 2})
     assert elim.rank() == 2
+
+
+def _matvec(A, x, bk):
+    return [sum((a * v for a, v in zip(row, x)), bk.zero) for row in A]
+
+
+def test_one_zero_rule_for_every_entry_point():
+    # 5e-5 is below 1e-7 times the largest entry, so it is zero for the dense
+    # functions and for an eliminator fed row by row alike.
+    A = [[1e3, 0.0], [0.0, 5e-5]]
+    elim = linalg.SparseEliminator(2, FLOAT)
+    assert [elim.add_row(dict(enumerate(row))) for row in A] == [True, False]
+    assert linalg.rank(A, FLOAT) == elim.rank() == 1
+    assert linalg.nullspace(A, FLOAT) == elim.nullspace() == [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_solve_with_a_free_variable(bk):
+    A = M([[1, 2, 1], [2, 4, 0]], bk)
+    b = [bk.rational(3), bk.rational(2)]
+    x = linalg.solve(A, b, bk)
+    # Rank 2 in 3 unknowns: one free variable, set to zero.
+    assert sum(1 for v in x if bk.is_zero(v)) == 1
+    for got, want in zip(_matvec(A, x, bk), b):
+        assert bk.is_zero(got - want)
+    # A matrix right-hand side is solved column by column.
+    X = linalg.solve(A, [[b[0], -b[0]], [b[1], -b[1]]], bk)
+    assert all(bk.is_zero(X[i, 0] - x[i]) and bk.is_zero(X[i, 1] + x[i])
+               for i in range(3))
+
+
+def test_float_inverse():
+    A = M([[2, 1], [1, 1]], FLOAT)
+    Ainv = linalg.inverse(A, FLOAT)
+    want = [[1, -1], [-1, 2]]
+    assert all(abs(Ainv[i, j] - want[i][j]) <= 1e-12
+               for i in range(2) for j in range(2))
+    with pytest.raises(ValueError):
+        linalg.inverse(M([[1, 2], [2, 4]], FLOAT), FLOAT)
+
+
+def test_add_row_reports_independence():
+    elim = linalg.SparseEliminator(2, EXACT)
+    one = EXACT.one
+    assert elim.add_row({0: one, 1: one})
+    assert not elim.add_row({0: -one, 1: -one})
+    assert not elim.add_row({})
+    assert elim.add_row({1: one})
+    assert elim.nullspace() == []
