@@ -12,9 +12,9 @@ zero solution, the second a single line, parameterized by h, with
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, all_zero
+from .tensors import zeros, asarray, conj_arr, pmat, eye, all_zero
 from .irrep import upsilons
-from .linalg import eliminate
+from .linalg import SparseEliminator
 
 
 def _threeterm(U, M):
@@ -120,14 +120,14 @@ def _nullspace_of_columns(column_tensors, bk):
     residual tensors produced by unit value of unknown k."""
     rows = []
     for t in range(len(column_tensors[0])):
-        flats = [np.asarray(col[t], dtype=object).reshape(-1)
-                 for col in column_tensors]
-        for entries in zip(*flats):
+        M = np.stack([asarray(col[t], bk).ravel() for col in column_tensors], 1)
+        for m in M:
+            entries = m.tolist()    # one row at a time keeps the peak small
             for part in (bk.re, bk.im):
                 row = {k: p for k, v in enumerate(entries) if v and (p := part(v))}
                 if row:
                     rows.append(row)
-    return eliminate(rows, len(column_tensors), bk).nullspace()
+    return SparseEliminator(rows, len(column_tensors), bk).nullspace()
 
 
 def stage_one_nullspace(bk=EXACT):

@@ -11,8 +11,8 @@ the pair antisymmetries and reality.
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, pmat, frob, all_zero, slot_contract, jmap4,
-                      is_totally_symmetric, FLIP, g8mat, jmats)
+from .tensors import (zeros, asarray, pmat, frob, all_zero, slot_contract,
+                      jmap4, is_totally_symmetric, FLIP, g8mat, jmats)
 from . import sp2
 from . import linalg
 
@@ -21,8 +21,9 @@ class SymQuartic:
     """Totally symmetric, j-real rank-4 tensor S_{alpha beta gamma delta}."""
 
     def __init__(self, S, bk=EXACT, check=True):
-        self.S = np.asarray(S, dtype=object)
         self.bk = bk
+        self.S = asarray(S, bk).copy()
+        self.S.flags.writeable = False
         if check:
             self.validate()
 
@@ -66,8 +67,9 @@ class HKTensor:
     """Hyper-Kahler curvature type tensor, stored via mixed components."""
 
     def __init__(self, Kmix, bk=EXACT):
-        self.Kmix = np.asarray(Kmix, dtype=object)
         self.bk = bk
+        self.Kmix = asarray(Kmix, bk).copy()
+        self.Kmix.flags.writeable = False
         self._full8 = None
 
     def quartic(self):
@@ -87,11 +89,12 @@ class HKTensor:
             return self._full8
         bk = self.bk
         f = zeros((8, 8, 8, 8), bk)
+        K = self.Kmix.tolist()
         for a in range(4):
             for b in range(4):
                 for c in range(4):
                     for d in range(4):
-                        v = self.Kmix[a, b, c, d]
+                        v = K[a][b][c][d]
                         if not v:
                             continue
                         w = bk.conj(v)

@@ -11,7 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero, jmap4
+from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, frob,
+                      all_zero, jmap4)
 from . import sp2
 from . import linalg
 from .hk import SymQuartic
@@ -22,9 +23,9 @@ def rep_delta(bk=EXACT):
     """The standard sp(1) generators on Delta = C^2: [E1,E2] = E3 and cyclic."""
     h = bk.rational(1, 2)
     i = bk.i
-    E1 = np.array([[-i * h, bk.zero], [bk.zero, i * h]], dtype=object)
-    E2 = np.array([[bk.zero, -h], [h, bk.zero]], dtype=object)
-    E3 = np.array([[bk.zero, i * h], [i * h, bk.zero]], dtype=object)
+    E1 = asarray([[-i * h, bk.zero], [bk.zero, i * h]], bk)
+    E2 = asarray([[bk.zero, -h], [h, bk.zero]], bk)
+    E3 = asarray([[bk.zero, i * h], [i * h, bk.zero]], bk)
     return (E1, E2, E3)
 
 
@@ -138,7 +139,7 @@ def substitution_check(bk=EXACT):
     }
     keys = set(lhs) | set(rhs)
     diffs = [lhs.get(k, bk.zero) - rhs.get(k, bk.zero) for k in sorted(keys)]
-    return all_zero(np.array(diffs, dtype=object), bk, scale=27.0)
+    return all_zero(diffs, bk, scale=27.0)
 
 
 def upsilon_lemma_residuals(bk=EXACT):
@@ -169,7 +170,7 @@ def upsilon_lemma_residuals(bk=EXACT):
             v = sp2.inner(U[s], U[t], bk)
             if s == t:
                 v = v - bk.rational(5)
-            pairing.append(np.array([v], dtype=object))
+            pairing.append(asarray([v], bk))
     out["pairing"] = pairing
 
     out["bracket"] = [sp2.bracket(U[i], U[j], bk) - U[k]
@@ -211,7 +212,7 @@ def orth_projection(span, bk):
     Ginv = linalg.inverse(G, bk)
 
     def proj(X):
-        v = np.array([sp2.inner(B, X, bk) for B in span], dtype=object)
+        v = asarray([sp2.inner(B, X, bk) for B in span], bk)
         w = Ginv @ v
         out = zeros((4, 4), bk)
         for k in range(n):
@@ -232,12 +233,11 @@ def reducible_rep(bk=EXACT):
     h = bk.rational(1, 2)
     i = bk.i
     z = bk.zero
-    R1 = np.array([[z, z, h, z], [z, z, z, h], [-h, z, z, z], [z, -h, z, z]],
-                  dtype=object)
-    R2 = np.array([[z, z, i * h, z], [z, z, z, i * h], [i * h, z, z, z],
-                   [z, i * h, z, z]], dtype=object)
-    R3 = np.array([[i * h, z, z, z], [z, i * h, z, z], [z, z, -i * h, z],
-                   [z, z, z, -i * h]], dtype=object)
+    R1 = asarray([[z, z, h, z], [z, z, z, h], [-h, z, z, z], [z, -h, z, z]], bk)
+    R2 = asarray([[z, z, i * h, z], [z, z, z, i * h], [i * h, z, z, z],
+                  [z, i * h, z, z]], bk)
+    R3 = asarray([[i * h, z, z, z], [z, i * h, z, z], [z, z, -i * h, z],
+                  [z, z, z, -i * h]], bk)
     return (R1, R2, R3)
 
 
@@ -457,7 +457,7 @@ def upsilon_perp_basis(bk=EXACT):
 def module_56(bk=EXACT):
     """V^C tensor (sp(1)_ir-complement in S^2 W*): the 56-dimensional torsion carrier."""
     # The columns of B (10 x 7) span the complement.
-    B = np.array(upsilon_perp_basis(bk), dtype=object).T
+    B = asarray(upsilon_perp_basis(bk), bk).T
     # Restrict ad(Upsilon_s) to the complement: solve B * M_s = ad_s * B,
     # for the three s at once.
     M = linalg.solve(B, np.hstack([A @ B for A in ad_upsilon_matrices(bk)]), bk)

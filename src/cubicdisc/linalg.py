@@ -9,43 +9,43 @@ weight is 1, so no entry is converted to a float.
 
 One zero rule holds throughout: an entry is zero iff its pivot_weight is at
 most `bk.pivot_tol * max(1, w)`, where w is the largest pivot_weight among
-the system's rows (the rows added so far, for an eliminator fed row by
-row).  On exact pivot_tol is 0, so only an identically zero entry is zero.
+all the system's rows, taken before any row is reduced, so no result depends
+on the order of the rows.  On exact pivot_tol is 0, so only an identically
+zero entry is zero.
 """
 
 import numpy as np
+
+from .tensors import zeros, asarray
 
 
 def real_flat(A, bk):
     """The entries of A as one flat list, each split into its real and
     imaginary part, so that ranks are taken over the reals."""
     out = []
-    for x in np.asarray(A, dtype=object).flat:
+    for x in asarray(A, bk).ravel().tolist():
         out.append(bk.re(x))
         out.append(bk.im(x))
     return out
 
 
 class SparseEliminator:
-    """Incremental row reduction.
+    """Row reduction of the dict rows {column: scalar} of one system.
 
-    Rows are dicts {column: scalar}.  `add_row` reduces a row by the pivot
-    rows found so far; `_back_reduce` then leaves each pivot row with 1 at
-    its pivot and nothing in any other pivot column.
+    The zero rule takes w from all of `rows`, then `add_row` reduces them in
+    turn; `independent[k]` says whether row k gave a new pivot.
+    `_back_reduce` then leaves each pivot row with 1 at its pivot and
+    nothing in any other pivot column.
     """
 
-    def __init__(self, ncols, bk):
+    def __init__(self, rows, ncols, bk):
         self.ncols = ncols
         self.bk = bk
         self.pivot_rows = {}
-        self.scale = 0.0
-        self._widen(())
-
-    def _widen(self, values):
-        """Raise the system's largest pivot_weight to cover `values`."""
-        weights = map(self.bk.pivot_weight, values)
-        self.scale = max(self.scale, max(weights, default=0.0))
-        self._tiny = self.bk.pivot_tol * max(1.0, self.scale)
+        w = max((bk.pivot_weight(x) for row in rows for x in row.values()),
+                default=0.0)
+        self._tiny = bk.pivot_tol * max(1.0, w)
+        self.independent = [self.add_row(row) for row in rows]
 
     def _subtract(self, row, c):
         """Eliminate column c of row with the pivot row of c."""
@@ -68,13 +68,13 @@ class SparseEliminator:
             self._subtract(row, hit)
 
     def add_row(self, row):
-        """Reduce row by the pivot rows; True iff it yields a new pivot.
+        """Reduce row by the pivot rows found so far, under the zero rule
+        fixed at construction; True iff it yields a new pivot.
 
         Raises ValueError when it reduces to right-hand-side entries only,
         that is, when the system has no solution.
         """
         weight = self.bk.pivot_weight
-        self._widen(row.values())
         row = {c: x for c, x in row.items() if weight(x) > self._tiny}
         self._reduce(row)
         cands = [c for c in row if c < self.ncols]
@@ -111,23 +111,13 @@ class SparseEliminator:
         return len(self.pivot_rows)
 
 
-def eliminate(rows, ncols, bk):
-    """A SparseEliminator fed the dict rows `rows`, whose zero rule is taken
-    from all of them at once."""
-    elim = SparseEliminator(ncols, bk)
-    elim._widen(x for row in rows for x in row.values())
-    for row in rows:
-        elim.add_row(row)
-    return elim
-
-
 def _eliminate_dense(M, bk, ncols=None):
     """Eliminate the dense rows of M; columns at or past ncols are
     right-hand sides (default: none)."""
     if ncols is None:
         ncols = len(M[0]) if len(M) else 0
-    return eliminate([{c: x for c, x in enumerate(row) if x} for row in M],
-                     ncols, bk)
+    return SparseEliminator([{c: x for c, x in enumerate(row) if x} for row in M],
+                            ncols, bk)
 
 
 def rref(M, bk):
@@ -156,13 +146,13 @@ def solve(A, b, bk):
     b is a vector, or a matrix whose columns are right-hand sides; x is a
     list, or a matrix with one column per right-hand side.
     """
-    b = np.asarray(b, dtype=object)
+    b = asarray(b, bk)
     B = b.reshape(len(b), -1)
     n = len(A[0])
-    rows = [list(a) + list(r) for a, r in zip(A, B)]
+    rows = np.hstack([asarray(A, bk), B]).tolist()
     elim = _eliminate_dense(rows, bk, ncols=n)
     elim._back_reduce()
-    X = np.full((n, B.shape[1]), bk.zero, dtype=object)
+    X = zeros((n, B.shape[1]), bk)
     for p, row in elim.pivot_rows.items():
         for j in range(B.shape[1]):
             X[p, j] = row.get(n + j, bk.zero)

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, pmat, g8mat, jmats, FLIP
+from .tensors import zeros, asarray, pmat, g8mat, jmats, FLIP
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
@@ -134,14 +134,15 @@ class CoframeSystem:
                 w = c[:, a, b]
                 res = res + np.tensordot(c[:, :, e], w, axes=([1], [0]))
             rows.append(res)
-        return np.array(rows, dtype=object)
+        return asarray(rows, bk)
 
 
 def coframe_family(h, bk=EXACT):
     """The one-parameter family of coframe systems; h must be a real scalar
     of the backend (for example bk.rational(-3, 2))."""
-    P = pmat(bk)
-    E = rep_w(bk)
+    # Entries are read one at a time, so read them as Python scalars.
+    P = pmat(bk).tolist()
+    E = [Es.tolist() for Es in rep_w(bk)]
     U = upsilons(bk)
     i = bk.i
     half = bk.rational(1, 2)
@@ -156,31 +157,31 @@ def coframe_family(h, bk=EXACT):
     # Horizontal curvature terms, scaled by h.
     hc = bk.conj(h)
     for s in range(3):
-        D = (U[s] @ P) * (bk.rational(-2, 3) * h)
+        D = ((U[s] @ pmat(bk)) * (bk.rational(-2, 3) * h)).tolist()
         for a in range(4):
             for b in range(4):
-                _form_add(d[s], (TH0 + a, TH0 + 4 + b), D[a, b], bk)
+                _form_add(d[s], (TH0 + a, TH0 + 4 + b), D[a][b], bk)
     for a in range(4):
         _form_add(d[3], (TH0 + a, TH0 + 4 + a), i * h, bk)
     for a in range(4):
         for b in range(a + 1, 4):
-            _form_add(d[4], (TH0 + a, TH0 + b), h * P[a, b], bk)
-            _form_add(d[4], (TH0 + 4 + a, TH0 + 4 + b), hc * P[a, b], bk)
-            _form_add(d[5], (TH0 + a, TH0 + b), -(i * h) * P[a, b], bk)
+            _form_add(d[4], (TH0 + a, TH0 + b), h * P[a][b], bk)
+            _form_add(d[4], (TH0 + 4 + a, TH0 + 4 + b), hc * P[a][b], bk)
+            _form_add(d[5], (TH0 + a, TH0 + b), -(i * h) * P[a][b], bk)
             _form_add(d[5], (TH0 + 4 + a, TH0 + 4 + b),
-                      bk.conj(-(i * h)) * P[a, b], bk)
+                      bk.conj(-(i * h)) * P[a][b], bk)
 
     # Horizontal coframe: connection terms, the same for every h.
     for a in range(4):
         for b in range(4):
             for s in range(3):
-                _form_add(d[TH0 + a], (s, TH0 + b), -E[s][a, b], bk)
+                _form_add(d[TH0 + a], (s, TH0 + b), -E[s][a][b], bk)
                 _form_add(d[TH0 + 4 + a], (s, TH0 + 4 + b),
-                          -bk.conj(E[s][a, b]), bk)
-            _form_add(d[TH0 + a], (4, TH0 + 4 + b), half * P[a, b], bk)
-            _form_add(d[TH0 + a], (5, TH0 + 4 + b), (i * half) * P[a, b], bk)
-            _form_add(d[TH0 + 4 + a], (4, TH0 + b), half * P[a, b], bk)
-            _form_add(d[TH0 + 4 + a], (5, TH0 + b), -(i * half) * P[a, b], bk)
+                          -bk.conj(E[s][a][b]), bk)
+            _form_add(d[TH0 + a], (4, TH0 + 4 + b), half * P[a][b], bk)
+            _form_add(d[TH0 + a], (5, TH0 + 4 + b), (i * half) * P[a][b], bk)
+            _form_add(d[TH0 + 4 + a], (4, TH0 + b), half * P[a][b], bk)
+            _form_add(d[TH0 + 4 + a], (5, TH0 + b), -(i * half) * P[a][b], bk)
         _form_add(d[TH0 + a], (3, TH0 + a), -(i * half), bk)
         _form_add(d[TH0 + 4 + a], (3, TH0 + 4 + a), i * half, bk)
 

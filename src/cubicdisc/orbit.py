@@ -9,6 +9,7 @@ elements for moving along the orbit, and reconstruction of K from a frame
 triple of endomorphisms.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -282,9 +283,7 @@ def random_quartic(seed, bk=EXACT, lo=-3, hi=3):
     """A random integer-component symmetric j-real quartic (seeded)."""
     rng = random.Random(seed)
     S = zeros((4, 4, 4, 4), bk)
-    it = np.nditer(np.zeros((4, 4, 4, 4)), flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
+    for idx in itertools.product(range(4), repeat=4):
         S[idx] = bk.scalar(rng.randint(lo, hi), rng.randint(lo, hi),
                            rng.randint(lo, hi), rng.randint(lo, hi))
     S = sym4(S, bk)

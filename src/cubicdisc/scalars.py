@@ -13,12 +13,16 @@ Every zero is the one shared zero object.  Inversion multiplies by the
 Galois conjugates and divides by the resulting rational norm, so no general
 number-field machinery is needed.
 
-The float backend maps everything to Python complex numbers; it is used as a
-cross-check shadow of the exact computations.
+The float backend is a cross-check shadow of the exact computations: its
+scalars are Python complex numbers and its arrays numpy complex128 arrays.
+Each backend names its array dtype (`dtype`): object for exact, complex128
+for float.
 """
 
 from fractions import Fraction
 import math
+
+import numpy as np
 
 _SQRT3 = math.sqrt(3.0)
 _gcd = math.gcd
@@ -266,17 +270,14 @@ _ZERO = _new(ExactScalar)
 _set_v(_ZERO, (0, 0, 0, 0, 1))
 
 
-def frobenius(values):
-    """sqrt(sum |z|^2) over complex numbers, as a float."""
-    return math.sqrt(sum(abs(z) ** 2 for z in values))
-
-
 class ExactBackend:
-    """Constructs and inspects ExactScalar values.  Every zero test is
-    exact: a value or array is zero only if it is identically zero."""
+    """Constructs and inspects ExactScalar values, held in object arrays.
+    Every zero test is exact: a value or array is zero only if it is
+    identically zero."""
 
     tol = 0.0
     pivot_tol = 0.0
+    dtype = object
 
     def __init__(self):
         self.zero = ExactScalar(0)
@@ -300,8 +301,8 @@ class ExactBackend:
     def is_zero(self, x, scale=1.0):
         return not x
 
-    def all_zero(self, values, scale=1.0):
-        return not any(values)
+    def all_zero(self, A, scale=1.0):
+        return not any(A.flat)
 
     def pivot_weight(self, x):
         """How elimination ranks x as a pivot: 1 if x is nonzero, else 0.
@@ -322,13 +323,14 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Shadow backend over double-precision complex numbers.  A value or
-    array is zero if its absolute value or Frobenius norm is at most
-    tol * max(1, scale); elimination treats an entry as zero if its
-    absolute value is at most pivot_tol * max(1, the largest absolute
-    value in the system)."""
+    """Shadow backend over double-precision complex numbers, held in
+    complex128 arrays.  A value or array is zero if its absolute value or
+    Frobenius norm is at most tol * max(1, scale); elimination treats an
+    entry as zero if its absolute value is at most pivot_tol * max(1, the
+    largest absolute value in the system)."""
 
     pivot_tol = 1e-7
+    dtype = np.complex128
 
     def __init__(self, tol=1e-9):
         self.tol = tol
@@ -354,8 +356,8 @@ class FloatBackend:
     def is_zero(self, x, scale=1.0):
         return abs(x) <= self.tol * max(1.0, scale)
 
-    def all_zero(self, values, scale=1.0):
-        return frobenius(values) <= self.tol * max(1.0, scale)
+    def all_zero(self, A, scale=1.0):
+        return bool(np.linalg.norm(A) <= self.tol * max(1.0, scale))
 
     def pivot_weight(self, x):
         """How elimination ranks x as a pivot: |x|, so the largest entry

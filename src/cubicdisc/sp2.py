@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, conj_arr, pmat, frob, all_zero, jmap4
+from .tensors import zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4
 from . import linalg
 
 PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
@@ -145,7 +145,7 @@ def dollar_coords(X, bk=EXACT):
     v = []
     for (a, b) in PAIRS:
         v.append(c[a, b] if a == b else c[a, b] * bk.rational(2))
-    return np.array(v, dtype=object)
+    return asarray(v, bk)
 
 
 def from_dollar_coords(v, bk=EXACT):
@@ -208,14 +208,10 @@ def real_basis(bk=EXACT):
         jB = jmap4(B, bk)
         cands.append(B + jB)
         cands.append((B - jB) * i)
-    # Select an independent subset over the reals.
-    elim = linalg.SparseEliminator(32, bk)  # 16 entries, re and im
-    chosen = []
-    for C in cands:
-        if elim.add_row(dict(enumerate(linalg.real_flat(C, bk)))):
-            chosen.append(C)
-        if len(chosen) == 10:
-            break
+    # Select an independent subset over the reals: 16 entries, re and im.
+    rows = [dict(enumerate(linalg.real_flat(C, bk))) for C in cands]
+    elim = linalg.SparseEliminator(rows, 32, bk)
+    chosen = [C for C, new in zip(cands, elim.independent) if new]
     if len(chosen) != 10:
         raise RuntimeError("failed to build a 10-dimensional real form basis")
     return tuple(chosen)

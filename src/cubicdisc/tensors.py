@@ -7,36 +7,49 @@ run 1..4 in the documentation and 0..3 internally; arrays on W carry no
 record of which slots are barred or raised, the caller keeps track.  The
 full 8-dimensional tensors are reconstructed on demand (indices 0..3
 unbarred, 4..7 barred).
+
+Every array is built here, by `zeros` or `asarray`, in the backend's dtype:
+object arrays of ExactScalar on exact, complex128 on float.  On complex128
+the conjugate and the norms are numpy's own; only exact arrays are walked
+element by element.
 """
 
 from functools import lru_cache
+import math
 
 import numpy as np
 
-from .scalars import EXACT, frobenius
+from .scalars import EXACT
 
 
 def zeros(shape, bk):
-    return np.full(shape, bk.zero, dtype=object)
+    return np.full(shape, bk.zero, dtype=bk.dtype)
+
+
+def asarray(x, bk):
+    """x (an array or nested lists of backend scalars) as an array of the
+    backend's dtype; an array that already has it is returned as is."""
+    return np.asarray(x, dtype=bk.dtype)
 
 
 def conj_arr(A, bk):
-    out = np.empty(A.shape, dtype=object)
-    flat_in = A.reshape(-1)
-    flat_out = out.reshape(-1)
-    for k in range(flat_in.shape[0]):
-        flat_out[k] = bk.conj(flat_in[k])
-    return out
+    A = asarray(A, bk)
+    if A.dtype != object:
+        return np.conj(A)
+    return asarray([bk.conj(x) for x in A.flat], bk).reshape(A.shape)
 
 
 def frob(A, bk):
     """Frobenius norm of an array of backend scalars, as a float."""
-    return frobenius(bk.to_complex(x) for x in np.asarray(A, dtype=object).flat)
+    A = asarray(A, bk)
+    if A.dtype != object:
+        return float(np.linalg.norm(A))
+    return math.sqrt(sum(abs(bk.to_complex(x)) ** 2 for x in A.flat))
 
 
 def all_zero(A, bk, scale=1.0):
     """Whether the array A is zero under the backend's policy (bk.all_zero)."""
-    return bk.all_zero(np.asarray(A, dtype=object).flat, scale)
+    return bk.all_zero(asarray(A, bk), scale)
 
 
 def slot_contract(T, axis, M):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cubicdisc.scalars import EXACT
+from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import zeros, eye, frob, all_zero, jmats, FLIP
 from cubicdisc import sp2, hk, irrep, orbit
 
@@ -26,6 +26,25 @@ def test_kappa_inv_validates():
     bad[0, 0, 0, 1] = bk.one
     with pytest.raises(ValueError):
         hk.kappa_inv(hk.HKTensor(bad, bk))
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_components_are_frozen_copies(bk):
+    # full8() is cached against Kmix, so the components must not change
+    # under it, through the tensor or through the array it was built from.
+    src = hk.kappa(irrep.s_hat(bk)).Kmix.copy()
+    K = hk.HKTensor(src, bk)
+    want = hk.HKTensor(src.copy(), bk).full8()
+    src[0, 0, 0, 0] = src[0, 0, 0, 0] + bk.one
+    with pytest.raises(ValueError):
+        K.Kmix[0, 0, 0, 0] = bk.one
+    assert (K.full8() == want).all()
+    S = irrep.s_hat(bk).S.copy()
+    q = hk.SymQuartic(S, bk)
+    S[0, 0, 0, 0] = S[0, 0, 0, 0] + bk.one
+    with pytest.raises(ValueError):
+        q.S[0, 0, 0, 0] = bk.one
+    assert q == irrep.s_hat(bk)
 
 
 def test_full8_symmetries():

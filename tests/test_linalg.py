@@ -57,11 +57,10 @@ def test_float_rank_threshold():
 
 
 def test_sparse_eliminator_nullspace():
-    elim = linalg.SparseEliminator(4, EXACT)
     one = EXACT.one
-    elim.add_row({0: one, 1: one})
-    elim.add_row({1: one, 2: one})
-    elim.add_row({0: one, 2: -one})   # dependent
+    elim = linalg.SparseEliminator([{0: one, 1: one}, {1: one, 2: one},
+                                    {0: one, 2: -one}],   # dependent
+                                   4, EXACT)
     assert elim.rank() == 2
     null = elim.nullspace()
     assert len(null) == 2
@@ -73,9 +72,9 @@ def test_sparse_eliminator_nullspace():
 def test_sparse_matches_dense():
     rows = [[1, 0, 2, -1], [0, 3, 1, 1], [1, 3, 3, 0]]
     dense = linalg.nullspace(M(rows), EXACT)
-    elim = linalg.SparseEliminator(4, EXACT)
-    for row in rows:
-        elim.add_row({i: EXACT.rational(x) for i, x in enumerate(row) if x})
+    elim = linalg.SparseEliminator(
+        [{i: EXACT.rational(x) for i, x in enumerate(row) if x} for row in rows],
+        4, EXACT)
     sparse = elim.nullspace()
     # row3 = row1 + row2, so the rank is 2 and the nullspace is 2-dimensional.
     assert len(dense) == len(sparse) == 2
@@ -95,9 +94,7 @@ def test_exact_pivots_need_no_float(entry):
     x = ExactScalar(entry)
     assert linalg.rank([[x]], EXACT) == 1
     assert linalg.nullspace([[x, x]], EXACT) == [[-EXACT.one, EXACT.one]]
-    elim = linalg.SparseEliminator(2, EXACT)
-    elim.add_row({0: x, 1: x})
-    elim.add_row({0: x, 1: x * 2})
+    elim = linalg.SparseEliminator([{0: x, 1: x}, {0: x, 1: x * 2}], 2, EXACT)
     assert elim.rank() == 2
 
 
@@ -107,12 +104,23 @@ def _matvec(A, x, bk):
 
 def test_one_zero_rule_for_every_entry_point():
     # 5e-5 is below 1e-7 times the largest entry, so it is zero for the dense
-    # functions and for an eliminator fed row by row alike.
+    # functions and for the eliminator alike.
     A = [[1e3, 0.0], [0.0, 5e-5]]
-    elim = linalg.SparseEliminator(2, FLOAT)
-    assert [elim.add_row(dict(enumerate(row))) for row in A] == [True, False]
+    elim = linalg.SparseEliminator([dict(enumerate(row)) for row in A], 2, FLOAT)
+    assert elim.independent == [True, False]
     assert linalg.rank(A, FLOAT) == elim.rank() == 1
     assert linalg.nullspace(A, FLOAT) == elim.nullspace() == [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["small_first", "large_first"])
+def test_rank_does_not_depend_on_row_order(order):
+    # The zero rule comes from the whole system, so 5e-5 is zero next to
+    # 1e3 whichever row comes first.
+    A = [[0.0, 5e-5], [1e3, 0.0]][::order]
+    elim = linalg.SparseEliminator([dict(enumerate(row)) for row in A], 2, FLOAT)
+    assert elim.independent == [x[0] != 0.0 for x in A]
+    assert elim.rank() == linalg.rank(A, FLOAT) == 1
+    assert len(linalg.nullspace(A, FLOAT)) == 1
 
 
 @pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
@@ -141,10 +149,8 @@ def test_float_inverse():
 
 
 def test_add_row_reports_independence():
-    elim = linalg.SparseEliminator(2, EXACT)
     one = EXACT.one
-    assert elim.add_row({0: one, 1: one})
-    assert not elim.add_row({0: -one, 1: -one})
-    assert not elim.add_row({})
-    assert elim.add_row({1: one})
+    elim = linalg.SparseEliminator([{0: one, 1: one}, {0: -one, 1: -one}, {},
+                                    {1: one}], 2, EXACT)
+    assert elim.independent == [True, False, False, True]
     assert elim.nullspace() == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubicdisc.scalars import EXACT
+from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import frob, all_zero
 from cubicdisc import sp2, hk, irrep, orbit
 
@@ -17,6 +17,14 @@ def test_reference_passes_both_predicates():
     K = reference()
     assert orbit.is_cd_theorem(K).verdict
     assert orbit.is_cd_coordinates(K).verdict
+
+
+def test_float_verdicts_are_python_bools():
+    # Verdicts read from complex128 norms must still be bools: CdReport
+    # hands its verdict to __bool__, which rejects numpy's bool.
+    K = hk.kappa(irrep.s_hat(FLOAT))
+    for rep in (orbit.is_cd_theorem(K), orbit.is_cd_coordinates(K)):
+        assert rep.verdict is True and bool(rep)
 
 
 def test_coordinate_residual_names():

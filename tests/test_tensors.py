@@ -1,11 +1,13 @@
 """Structure tensors, the antilinear j-map, and symmetrization on raw arrays."""
 
 import itertools
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
+from cubicdisc import hk, irrep, jsonio, sp2, tensors
 from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import (zeros, pmat, eye, g8mat, jmats, frob, all_zero,
                                FLIP, jmap4, sym4, is_totally_symmetric)
@@ -105,7 +107,25 @@ def test_sym4_matches_permutation_sum_exact(rank):
 def test_sym4_matches_permutation_sum_float(rank):
     rng = np.random.default_rng(rank)
     shape = (4,) * rank
-    S = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(object)
-    got = sym4(S, FLOAT).astype(complex)
-    want = _sym4_reference(S, FLOAT).astype(complex)
+    S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = sym4(S, FLOAT)
+    want = _sym4_reference(S, FLOAT)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bk, dtype", [(EXACT, object), (FLOAT, np.complex128)],
+                         ids=["exact", "float"])
+def test_each_backend_has_one_array_dtype(bk, dtype):
+    K = hk.kappa(irrep.s_hat(bk))
+    arrays = [zeros((2, 3), bk), eye(4, bk), pmat(bk), g8mat(bk), *jmats(bk),
+              K.Kmix, K.full8(), *irrep.module_v(bk).e_gens,
+              *irrep.module_v(bk).h_gens,
+              sp2.dollar_coords(sp2.real_basis(bk)[3], bk),
+              jsonio.loads(jsonio.dumps(irrep.s_hat(bk)), bk).S]
+    assert [A.dtype for A in arrays] == [dtype] * len(arrays)
+
+
+def test_object_arrays_are_built_only_in_tensors():
+    src = pathlib.Path(tensors.__file__).parent
+    hits = {p.name for p in src.glob("*.py") if "dtype=object" in p.read_text()}
+    assert hits <= {"tensors.py"}
