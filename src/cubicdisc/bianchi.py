@@ -153,25 +153,29 @@ def stage_one_nullspace(bk=EXACT):
     return _nullspace_of_columns(cols, bk)
 
 
-def stage_two_nullspace(bk=EXACT):
-    """Solutions of the {one-bar, three-bars} equations; expected 1-dimensional."""
+# The stage-two unknowns in column order; F2 and F3 are antisymmetric, the
+# others anti-Hermitian.
+STAGE_TWO = ("D1", "D2", "D3", "F2", "F3", "G1")
+
+
+def _stage_two_columns(bk):
+    """(unknown, real basis matrix) for each stage-two column, in order."""
     asym = antisym_basis(bk)
     aherm = antiherm_basis(bk)
-    Z = _zero4(bk)
-    Z4 = zeros((4, 4, 4, 4), bk)
+    return [(name, M) for name in STAGE_TWO
+            for M in (asym if name in ("F2", "F3") else aherm)]
+
+
+def stage_two_nullspace(bk=EXACT):
+    """Solutions of the {one-bar, three-bars} equations; expected 1-dimensional."""
     cols = []
-    for s in range(3):
-        for M in aherm:
-            D = [Z, Z, Z]
-            D[s] = M
-            cols.append([cf_type_2(D, Z, Z, Z, bk), Z4])
-    for M in asym:     # F2
-        cols.append([cf_type_2([Z, Z, Z], M, Z, Z, bk), cf_type_4(M, Z, bk)])
-    for M in asym:     # F3
-        cols.append([cf_type_2([Z, Z, Z], Z, M, Z, bk), cf_type_4(Z, M, bk)])
-    for M in aherm:    # G1
-        cols.append([cf_type_2([Z, Z, Z], Z, Z, M, bk), Z4])
-    return cols, _nullspace_of_columns(cols, bk)
+    for name, M in _stage_two_columns(bk):
+        x = dict.fromkeys(STAGE_TWO, _zero4(bk))
+        x[name] = M
+        cols.append([cf_type_2([x["D1"], x["D2"], x["D3"]], x["F2"], x["F3"],
+                               x["G1"], bk),
+                     cf_type_4(x["F2"], x["F3"], bk)])
+    return _nullspace_of_columns(cols, bk)
 
 
 class FirstBianchiSolution:
@@ -180,44 +184,24 @@ class FirstBianchiSolution:
     def __init__(self, bk=EXACT):
         self.bk = bk
         self.stage_one = stage_one_nullspace(bk)
-        cols, null = stage_two_nullspace(bk)
-        self.stage_two = null
+        self.stage_two = stage_two_nullspace(bk)
         self.D = self.F2 = self.F3 = self.G1 = None
-        if len(null) == 1:
-            self._extract(null[0])
+        if len(self.stage_two) == 1:
+            self._extract(self.stage_two[0])
 
     def _extract(self, vec):
         bk = self.bk
-        asym = antisym_basis(bk)
-        aherm = antiherm_basis(bk)
-        pos = 0
-        D = []
-        for s in range(3):
-            M = _zero4(bk)
-            for B in aherm:
-                M = M + B * vec[pos]
-                pos += 1
-            D.append(M)
-        F2 = _zero4(bk)
-        for B in asym:
-            F2 = F2 + B * vec[pos]
-            pos += 1
-        F3 = _zero4(bk)
-        for B in asym:
-            F3 = F3 + B * vec[pos]
-            pos += 1
-        G1 = _zero4(bk)
-        for B in aherm:
-            G1 = G1 + B * vec[pos]
-            pos += 1
-        scale = F2[0, 2]
+        x = dict.fromkeys(STAGE_TWO, _zero4(bk))
+        for (name, B), c in zip(_stage_two_columns(bk), vec):
+            x[name] = x[name] + B * c
+        scale = x["F2"][0, 2]
         if not scale:
             raise ValueError("cannot normalize: F2[1,3] vanishes on the solution line")
         inv = bk.one / scale
-        self.D = [M * inv for M in D]
-        self.F2 = F2 * inv
-        self.F3 = F3 * inv
-        self.G1 = G1 * inv
+        self.D = [x["D%d" % s] * inv for s in (1, 2, 3)]
+        self.F2 = x["F2"] * inv
+        self.F3 = x["F3"] * inv
+        self.G1 = x["G1"] * inv
 
     def structure_residuals(self):
         """Residual arrays of the normalized solution against the closed form

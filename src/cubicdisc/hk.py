@@ -12,7 +12,8 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, pmat, frob, all_zero, slot_contract,
-                      jmap4, is_totally_symmetric, FLIP, g8mat, jmats)
+                      jmap4, is_totally_symmetric, FLIP, g8mat, jmats,
+                      omega_forms, q_tensor)
 from . import sp2
 from . import linalg
 
@@ -20,12 +21,11 @@ from . import linalg
 class SymQuartic:
     """Totally symmetric, j-real rank-4 tensor S_{alpha beta gamma delta}."""
 
-    def __init__(self, S, bk=EXACT, check=True):
+    def __init__(self, S, bk=EXACT):
         self.bk = bk
         self.S = asarray(S, bk).copy()
         self.S.flags.writeable = False
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if not is_totally_symmetric(self.S, self.bk):
@@ -47,20 +47,14 @@ def _kappa_core(S, bk):
     return np.transpose(out, (0, 2, 1, 3))
 
 
-def kappa(S, bk=None):
+def kappa(S):
     """The isomorphism from symmetric quartics to HK curvature type tensors."""
-    if isinstance(S, SymQuartic):
-        bk = S.bk
-        S = S.S
-    return HKTensor(_kappa_core(S, bk), bk)
+    return HKTensor(_kappa_core(S.S, S.bk), S.bk)
 
 
-def kappa_inv(K, bk=None):
+def kappa_inv(K):
     """Inverse of kappa; output is validated totally symmetric and j-real."""
-    if isinstance(K, HKTensor):
-        bk = K.bk
-        K = K.Kmix
-    return SymQuartic(_kappa_core(K, bk), bk)
+    return SymQuartic(_kappa_core(K.Kmix, K.bk), K.bk)
 
 
 class HKTensor:
@@ -162,12 +156,6 @@ def t_k_from_orthonormal_sum(K, X):
     return M * bk.rational(1, 2)
 
 
-def lowered_endo(X, bk):
-    """g(B x, y) for the endomorphism B of V determined by the sp(2) element X."""
-    B = sp2.endo_on_v(X, bk)
-    return B.T @ g8mat(bk)
-
-
 def eigen_multiplicity(T, lam, bk):
     """Multiplicity of the eigenvalue lam of a 10x10 matrix, via nullspace rank."""
     n = T.shape[0]
@@ -239,19 +227,17 @@ def solve_generator(K, L, bk):
     return U
 
 
-def tangent_H(K, L, U=None, check_orbit=True):
+def tangent_H(K, L, check_orbit=True):
     """The sp(2)-valued operator H attached to a tangent vector L at K.
 
-    H = (1/5)((7/2) U - T_K(U)) where U generates L; the caller may supply U
-    (as a symmetric-model matrix), otherwise it is solved for.
+    H = (1/5)((7/2) U - T_K(U)) where U, solved for, generates L.
     """
     bk = K.bk
     if check_orbit:
         from .orbit import is_cd_theorem
         if not is_cd_theorem(K).verdict:
             raise ValueError("K is not a cubic discriminant; tangent_H undefined")
-    if U is None:
-        U = solve_generator(K, L, bk)
+    U = solve_generator(K, L, bk)
     TU = t_k_apply(K, U)
     H = (U * bk.rational(7, 2) - TU) * bk.rational(1, 5)
     return H
@@ -270,30 +256,14 @@ def tangent_H_from_contraction(K, L, bk):
 # -- double contraction identities ---------------------------------------
 
 
-def _lowered_j(s, bk):
-    """omega_s(x, y) = g(J_s x, y) as an 8x8 matrix."""
-    J = jmats(bk)[s]
-    return J.T @ g8mat(bk)
-
-
 def contr_kxk_1_residual(K):
-    """sum_{ab} K(x,y,h_a,h_b) K(z,w,h_a,h_b)
-       - 4K(x,y,z,w) - (21/8)(g terms) - (21/8)(J_s terms)."""
+    """sum_{ab} K(x,y,h_a,h_b) K(z,w,h_a,h_b) - 4K(x,y,z,w) + (21/8) Q(x,y,z,w),
+    with Q the tensor of R0 type (tensors.q_tensor)."""
     bk = K.bk
     f = K.full8()
-    g = g8mat(bk)
     ff = f[:, :, FLIP][:, :, :, FLIP]
     lhs = np.tensordot(f, ff, axes=([2, 3], [2, 3]))  # [x,y,z,w]
-    rhs = f * bk.rational(4)
-    gterm = np.tensordot(g, g, axes=0)  # g[x,z] g[y,w] -> axes (x,z,y,w)
-    rhs = rhs + np.transpose(gterm, (0, 2, 1, 3)) * bk.rational(21, 8)
-    rhs = rhs - np.transpose(gterm, (0, 2, 3, 1)) * bk.rational(21, 8)
-    for s in range(3):
-        G = _lowered_j(s, bk)
-        t = np.tensordot(G, G, axes=0)  # G[x,z] G[y,w]
-        rhs = rhs + np.transpose(t, (0, 2, 1, 3)) * bk.rational(21, 8)
-        rhs = rhs - np.transpose(t, (0, 2, 3, 1)) * bk.rational(21, 8)
-    return lhs - rhs
+    return lhs - f * bk.rational(4) + q_tensor(bk) * bk.rational(21, 8)
 
 
 def contr_kxk_2_residual(K):
@@ -310,8 +280,7 @@ def contr_kxk_2_residual(K):
     gterm = np.tensordot(g, g, axes=0)
     rhs = rhs + np.transpose(gterm, (0, 2, 1, 3)) * bk.rational(21, 8)
     rhs = rhs + np.transpose(gterm, (0, 2, 3, 1)) * bk.rational(21, 16)
-    for s in range(3):
-        G = _lowered_j(s, bk)
+    for G in omega_forms(bk):
         t = np.tensordot(G, G, axes=0)  # G[x,w] G[y,z]
         rhs = rhs - np.transpose(t, (0, 2, 3, 1)) * bk.rational(21, 16)
     return lhs - rhs

@@ -12,7 +12,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, frob,
-                      all_zero, jmap4)
+                      all_zero, jmap4, frozen)
 from . import sp2
 from . import linalg
 from .hk import SymQuartic
@@ -26,7 +26,7 @@ def rep_delta(bk=EXACT):
     E1 = asarray([[-i * h, bk.zero], [bk.zero, i * h]], bk)
     E2 = asarray([[bk.zero, -h], [h, bk.zero]], bk)
     E3 = asarray([[bk.zero, i * h], [i * h, bk.zero]], bk)
-    return (E1, E2, E3)
+    return frozen((E1, E2, E3))
 
 
 def sym_cube_rep(M, bk=EXACT):
@@ -59,21 +59,13 @@ def sym_cube_rep(M, bk=EXACT):
 @lru_cache(maxsize=None)
 def rep_w(bk=EXACT):
     """The three 4x4 generators E_s of the irreducible action on W."""
-    return tuple(sym_cube_rep(M, bk) for M in rep_delta(bk))
-
-
-def upsilon_matrices(bk=EXACT, E=None):
-    """The symmetric matrices Upsilon_s with pi^{alpha sigma}(Upsilon_s)_{sigma beta} = (E_s)^alpha_beta."""
-    if E is None:
-        E = rep_w(bk)
-    P = pmat(bk)
-    Q = -P  # P Q = Id
-    return tuple(Q @ Es for Es in E)
+    return frozen([sym_cube_rep(M, bk) for M in rep_delta(bk)])
 
 
 @lru_cache(maxsize=None)
 def upsilons(bk=EXACT):
-    return upsilon_matrices(bk)
+    """The symmetric matrices Upsilon_s with pi^{alpha sigma}(Upsilon_s)_{sigma beta} = (E_s)^alpha_beta."""
+    return frozen([-(pmat(bk) @ Es) for Es in rep_w(bk)])   # P (-P) = Id
 
 
 @lru_cache(maxsize=None)
@@ -88,15 +80,6 @@ def s_hat(bk=EXACT):
     S = S - np.transpose(PP, (0, 2, 1, 3)) * q34
     S = S - np.transpose(PP, (0, 2, 3, 1)) * q34
     return SymQuartic(S, bk)
-
-
-def quartic_form(S, x, bk):
-    """S(x, x, x, x) for a coordinate vector x of length 4."""
-    v = np.tensordot(S, x, axes=([3], [0]))
-    v = np.tensordot(v, x, axes=([2], [0]))
-    v = np.tensordot(v, x, axes=([1], [0]))
-    v = np.tensordot(v, x, axes=([0], [0]))
-    return v[()] if isinstance(v, np.ndarray) else v
 
 
 def classical_discriminant(a, b, c, d, bk=EXACT):
@@ -272,9 +255,8 @@ def script_e_frames(bk=EXACT):
         M = zeros((8, 8), bk)
         M[:4, :4] = Es
         M[4:, 4:] = conj_arr(Es, bk)
-        M.flags.writeable = False
         out.append(M)
-    return tuple(out)
+    return frozen(out)
 
 
 def endo_inner(A, B, bk):
@@ -298,10 +280,6 @@ def wedge2(a, b, bk):
     w = (pick((0, 1, 2, 3)) - pick((0, 2, 1, 3)) + pick((0, 2, 3, 1))
          + pick((2, 3, 0, 1)) - pick((2, 0, 3, 1)) + pick((2, 0, 1, 3)))
     return w
-
-
-def omega_forms(bk=EXACT):
-    return tuple(lowered_2form(J, bk) for J in jmats(bk))
 
 
 def eps_wedge_residual(frames, omegas, bk):
@@ -384,7 +362,7 @@ def casimir_eigenvalue(k, bk):
     return bk.rational(-k * (k + 2), 4)
 
 
-def casimir_decompose(module, kmax=12, lmax=3):
+def casimir_decompose(module, kmax, lmax):
     """Multiplicity table {(k, l): multiplicity} of S^k E (x) S^l H summands.
     The stacked 2n x n system is ranked only where CE and CH both have the
     eigenvalue; each shifted Casimir is ranked once on its own."""
@@ -429,12 +407,8 @@ def module_v(bk=EXACT):
 @lru_cache(maxsize=None)
 def ad_upsilon_matrices(bk=EXACT):
     """ad(Upsilon_s) acting on sp(2) in the dollar basis (10x10)."""
-    out = []
-    for U in upsilons(bk):
-        M = sp2.endo_matrix(lambda X, U=U: sp2.bracket(U, X, bk), bk)
-        M.flags.writeable = False
-        out.append(M)
-    return tuple(out)
+    return frozen([sp2.endo_matrix(lambda X, U=U: sp2.bracket(U, X, bk), bk)
+                   for U in upsilons(bk)])
 
 
 def module_sp2(bk=EXACT):

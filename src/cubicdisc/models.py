@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, pmat, g8mat, jmats, FLIP
+from .tensors import zeros, pmat, g8mat, jmats, omega_forms, q_tensor, FLIP
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
@@ -26,6 +26,8 @@ LABELS = ["psi1", "psi2", "psi3", "phi1", "phi2", "phi3",
 PSI = (0, 1, 2)
 PHI = (3, 4, 5)
 TH0 = 6    # th_alpha = TH0 + alpha, thbar_alpha = TH0 + 4 + alpha
+# Row of each index triple i < j < l in CoframeSystem.jacobi_residual.
+TRIPLES = {t: n for n, t in enumerate(itertools.combinations(range(N_FORMS), 3))}
 
 
 def _accumulate(form, key, value, bk):
@@ -76,6 +78,7 @@ class CoframeSystem:
         for k in range(N_FORMS):
             self.d.setdefault(k, {})
         self.h = h
+        self._jacobi = None
 
     def d_two_form(self, form2):
         """d applied to a 2-form with constant coefficients, by Leibniz."""
@@ -92,25 +95,20 @@ class CoframeSystem:
                     _accumulate(out, key, val, bk)
         return out
 
-    def d_squared_residual(self, k):
-        """The 3-form d(d e^k); zero for a Lie coframe."""
-        return self.d_two_form(self.d[k])
-
     def closure_residual(self):
+        """The largest |d(d e^k)| entry."""
         bk = self.bk
-        worst = 0.0
-        for k in range(N_FORMS):
-            r = self.d_squared_residual(k)
-            for v in r.values():
-                worst = max(worst, abs(bk.to_complex(v)))
-        return worst
+        return max((abs(bk.to_complex(v))
+                    for v in self.jacobi_residual().ravel().tolist() if v),
+                   default=0.0)
 
     def is_closed(self):
+        """d^2 = 0, with each entry judged at the squared coefficient scale."""
         bk = self.bk
         scale = max((abs(bk.to_complex(v)) for f in self.d.values()
                      for v in f.values()), default=1.0)
-        return all(bk.is_zero(v, max(1.0, scale) ** 2) for k in range(N_FORMS)
-                   for v in self.d_squared_residual(k).values())
+        return all(bk.is_zero(v, max(1.0, scale) ** 2)
+                   for v in self.jacobi_residual().ravel().tolist() if v)
 
     def structure_constants(self):
         """c[k, i, j] with [v_i, v_j] = sum_k c[k,i,j] v_k; c^k_ij = -(de^k)_ij."""
@@ -123,18 +121,20 @@ class CoframeSystem:
         return c
 
     def jacobi_residual(self):
-        """The Jacobi identity's residual over all 364 index triples i < j < k:
-        row t of the result is the residual vector of the t-th triple."""
-        bk = self.bk
-        c = self.structure_constants()
-        rows = []
-        for i, j, k in itertools.combinations(range(N_FORMS), 3):
-            res = zeros((N_FORMS,), bk)
-            for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
-                w = c[:, a, b]
-                res = res + np.tensordot(c[:, :, e], w, axes=([1], [0]))
-            rows.append(res)
-        return asarray(rows, bk)
+        """The 364 x 14 array of d(d e^k): row t holds the coefficients on the
+        t-th triple i < j < l of itertools.combinations, column k those of
+        d(d e^k).  For constant coefficients d^2 = 0 is the Jacobi identity,
+        and entry [t, k] is the k-th component of the Jacobi sum
+        [[v_i, v_j], v_l] + cyclic.  Computed on the first call (d must not
+        change after it) and returned read-only."""
+        if self._jacobi is None:
+            R = zeros((len(TRIPLES), N_FORMS), self.bk)
+            for k in range(N_FORMS):
+                for key, v in self.d_two_form(self.d[k]).items():
+                    R[TRIPLES[key], k] = v
+            R.flags.writeable = False
+            self._jacobi = R
+        return self._jacobi
 
 
 def coframe_family(h, bk=EXACT):
@@ -196,10 +196,6 @@ def split_model(bk=EXACT):
     return coframe_family(bk.rational(3, 2), bk)
 
 
-def flat_model(bk=EXACT):
-    return coframe_family(bk.zero, bk)
-
-
 # -- curvature -------------------------------------------------------------
 
 
@@ -239,19 +235,14 @@ def curvature_tensor(cs):
 def r0_tensor(bk=EXACT):
     """The normalized constant-curvature-type tensor R0:
 
-    4 R0(x,y,z,w) = g(x,w)g(y,z) - g(x,z)g(y,w)
-                    + sum_s ( -2 om_s(x,y) om_s(z,w) + om_s(x,z) om_s(w,y)
-                              + om_s(x,w) om_s(y,z) )
+    4 R0(x,y,z,w) = Q(x,y,z,w) - 2 sum_s om_s(x,y) om_s(z,w),
+
+    with Q = g(x,w)g(y,z) - g(x,z)g(y,w)
+             + sum_s (om_s(x,z) om_s(w,y) + om_s(x,w) om_s(y,z)).
     """
-    g = g8mat(bk)
-    gg = np.tensordot(g, g, axes=0)
-    out = np.transpose(gg, (0, 2, 3, 1)) - np.transpose(gg, (0, 2, 1, 3))
-    for J in jmats(bk):
-        om = J.T @ g
-        t = np.tensordot(om, om, axes=0)
-        out = out - t * bk.rational(2)                    # om[x,y] om[z,w]
-        out = out + np.transpose(t, (0, 2, 3, 1))         # om[x,z] om[w,y]
-        out = out + np.transpose(t, (0, 3, 1, 2))         # om[x,w] om[y,z]
+    out = q_tensor(bk)
+    for om in omega_forms(bk):
+        out = out - np.tensordot(om, om, axes=0) * bk.rational(2)
     return out * bk.rational(1, 4)
 
 

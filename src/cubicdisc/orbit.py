@@ -16,7 +16,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero,
-                      slot_contract, sym4, jmap4)
+                      slot_contract, sym4, jmap4, omega_forms, q_tensor)
 from . import sp2
 from . import linalg
 from . import irrep
@@ -110,12 +110,9 @@ def cd_averaged_residual(S, bk):
     return sym4(t1 + t2 + t3 + t4, bk)
 
 
-def is_cd_coordinates(K_or_S):
+def is_cd_coordinates(K):
     """Coordinate-level test on the quartic S = kappa_inv(K)."""
-    if isinstance(K_or_S, HKTensor):
-        S = kappa_inv(K_or_S)
-    else:
-        S = K_or_S
+    S = kappa_inv(K)
     bk = S.bk
     arr = S.S
     scale = max(frob(arr, bk) ** 2, 1.0)
@@ -139,17 +136,16 @@ def _action_rows(S, bk):
     return [linalg.real_flat(quartic_action(S, X, bk), bk) for X in sp2.real_basis(bk)]
 
 
-def stabilizer(S, bk=EXACT):
-    """Stabilizer of a quartic inside the real form of sp(2).
+def stabilizer(S):
+    """Stabilizer of a SymQuartic inside the real form of sp(2).
 
     Returns (dimension, basis) where the basis elements are symmetric-model
     matrices spanning the annihilator of the action.
     """
-    if isinstance(S, SymQuartic):
-        S = S.S
+    bk = S.bk
     # Stabilizer coefficients are the nullspace of the action matrix, whose
     # columns are the ten generators' rows.
-    null = linalg.nullspace(list(zip(*_action_rows(S, bk))), bk)
+    null = linalg.nullspace(list(zip(*_action_rows(S.S, bk))), bk)
     stab = []
     for v in null:
         X = zeros((4, 4), bk)
@@ -205,15 +201,12 @@ def check_group_element(M, bk):
     return sympl and quat
 
 
-def transport_quartic(S, M, bk=None):
-    """Pullback of a lower-index quartic along a group element M (right action)."""
-    if isinstance(S, SymQuartic):
-        bk = S.bk
-        S = S.S
-    out = S
+def transport_quartic(S, M):
+    """Pullback of a SymQuartic along a group element M (right action)."""
+    out = S.S
     for axis in range(4):
         out = slot_contract(out, axis, M)
-    return SymQuartic(out, bk)
+    return SymQuartic(out, S.bk)
 
 
 def transport_hk(K, M):
@@ -247,29 +240,20 @@ def k_from_frames(frames, bk=EXACT):
     with eps_s(x,y) = g(E_s x, y).  Returns (verdict, K): the verdict is the
     sp(1) closure of the triple together with the frame normalization test
     sum_s eps_s ^ eps_s = -(3/4) Omega, and K is None when it fails.
+    The g and omega terms are (3/8) Q, with Q = tensors.q_tensor.
     """
     scale = max(max(frob(E, bk) for E in frames) ** 2, 1.0)
     _check_frames(frames, bk, scale)
     if not irrep.closes_as_sp1(frames, bk, scale):
         return False, None
-    om = irrep.omega_forms(bk)
-    if not all_zero(irrep.eps_wedge_residual(frames, om, bk), bk, scale=scale):
+    if not all_zero(irrep.eps_wedge_residual(frames, omega_forms(bk), bk), bk,
+                    scale=scale):
         return False, None
 
-    g = g8mat(bk)
-    eps = [irrep.lowered_2form(E, bk) for E in frames]
-    f = zeros((8, 8, 8, 8), bk)
-    for e in eps:
+    f = q_tensor(bk) * bk.rational(3, 8)
+    for E in frames:
+        e = irrep.lowered_2form(E, bk)
         f = f + np.tensordot(e, e, axes=0)
-    gg = np.tensordot(g, g, axes=0)   # g[x,w] g[y,z] at [x,w,y,z]
-    q38 = bk.rational(3, 8)
-    f = f + np.transpose(gg, (0, 2, 3, 1)) * q38
-    f = f - np.transpose(gg, (0, 2, 1, 3)) * q38
-    for o in om:
-        t = np.tensordot(o, o, axes=0)
-        # omega[x,z] omega[w,y] and omega[x,w] omega[y,z]
-        f = f + np.transpose(t, (0, 3, 1, 2)) * q38
-        f = f + np.transpose(t, (0, 2, 3, 1)) * q38
     Kmix = f[np.ix_(range(4), range(4, 8), range(4), range(4, 8))]
     K = HKTensor(Kmix, bk)
     K.validate()
@@ -279,22 +263,23 @@ def k_from_frames(frames, bk=EXACT):
 # -- random elements -------------------------------------------------------
 
 
-def random_quartic(seed, bk=EXACT, lo=-3, hi=3):
-    """A random integer-component symmetric j-real quartic (seeded)."""
+def random_quartic(seed, bk=EXACT):
+    """A random symmetric j-real quartic (seeded), averaged from integer
+    components in [-3, 3]."""
     rng = random.Random(seed)
     S = zeros((4, 4, 4, 4), bk)
     for idx in itertools.product(range(4), repeat=4):
-        S[idx] = bk.scalar(rng.randint(lo, hi), rng.randint(lo, hi),
-                           rng.randint(lo, hi), rng.randint(lo, hi))
+        S[idx] = bk.scalar(*(rng.randint(-3, 3) for _ in range(4)))
     S = sym4(S, bk)
     S = (S + jmap4(S, bk)) * bk.rational(1, 2)
     return SymQuartic(S, bk)
 
 
-def random_sp2(seed, bk=EXACT, lo=-3, hi=3):
-    """A random element of the real form of sp(2) with small integer coordinates."""
+def random_sp2(seed, bk=EXACT):
+    """A random element of the real form of sp(2), with integer coordinates
+    in [-3, 3] on the real basis."""
     rng = random.Random(seed)
     X = zeros((4, 4), bk)
     for B in sp2.real_basis(bk):
-        X = X + B * bk.rational(rng.randint(lo, hi))
+        X = X + B * bk.rational(rng.randint(-3, 3))
     return X

@@ -373,6 +373,14 @@ class FloatBackend:
     def im(self, x):
         return complex(x.imag, 0.0)
 
+    # Backends with one tol are interchangeable, so caches keyed on a
+    # backend share one entry per tolerance.
+    def __eq__(self, other):
+        return isinstance(other, FloatBackend) and other.tol == self.tol
+
+    def __hash__(self):
+        return hash((FloatBackend, self.tol))
+
     def __repr__(self):
         return "FloatBackend(tol=%g)" % self.tol
 

@@ -13,15 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4
+from .tensors import zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4, frozen
 from . import linalg
 
 PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
 
 
-def is_sp2_element(X, bk, scale=None):
-    if scale is None:
-        scale = frob(X, bk)
+def is_sp2_element(X, bk):
+    scale = frob(X, bk)
     sym_ok = all_zero(X - X.T, bk, scale=scale)
     real_ok = all_zero(X - jmap4(X, bk), bk, scale=scale)
     return sym_ok, real_ok
@@ -41,27 +40,8 @@ def to_endo(X, bk):
 
 
 def from_endo(A, bk):
-    """Inverse of to_endo; also validates the endomorphism-model invariants."""
-    X = -(pmat(bk) @ A)
-    return X
-
-
-def check_endo_model(A, bk):
-    """A must be conj-anti-Hermitian: A^T = -conj(A)."""
-    if not all_zero(A.T + conj_arr(A, bk), bk, scale=frob(A, bk)):
-        raise ValueError("endomorphism model violates A_{alpha betabar} = -A_{betabar alpha}")
-
-
-def model_convert(value, bk=EXACT, direction="sym_to_endo"):
-    if direction == "sym_to_endo":
-        check_sp2(value, bk)
-        return to_endo(value, bk)
-    if direction == "endo_to_sym":
-        check_endo_model(value, bk)
-        X = from_endo(value, bk)
-        check_sp2(X, bk)
-        return X
-    raise ValueError("unknown direction %r" % (direction,))
+    """Inverse of to_endo: X = -P A.  It validates nothing; check_sp2 does."""
+    return -(pmat(bk) @ A)
 
 
 def bracket(X, Y, bk=EXACT):
@@ -98,9 +78,8 @@ def sharp_basis(bk=EXACT):
             h = bk.rational(1, 2)
             M[a, b] = h
             M[b, a] = h
-        M.flags.writeable = False
         out.append(M)
-    return tuple(out)
+    return frozen(out)
 
 
 def dollar_matrix(a, b, bk=EXACT):
@@ -113,29 +92,14 @@ def dollar_matrix(a, b, bk=EXACT):
 
 @lru_cache(maxsize=None)
 def dollar_basis(bk=EXACT):
-    out = []
-    for (a, b) in PAIRS:
-        M = dollar_matrix(a, b, bk)
-        M.flags.writeable = False
-        out.append(M)
-    return tuple(out)
+    return frozen([dollar_matrix(a, b, bk) for (a, b) in PAIRS])
 
 
 @lru_cache(maxsize=None)
 def sharp_dual_basis(bk=EXACT):
     """Duals of the sharp basis w.r.t. the inner product: $_{aa}, or 2 $_{ab} off the diagonal."""
-    out = []
-    for (a, b) in PAIRS:
-        M = dollar_matrix(a, b, bk)
-        if a != b:
-            M = M * bk.rational(2)
-        M.flags.writeable = False
-        out.append(M)
-    return tuple(out)
-
-
-def dual_basis(bk=EXACT):
-    return sharp_basis(bk), sharp_dual_basis(bk)
+    return frozen([dollar_matrix(a, b, bk) * bk.rational(1 if a == b else 2)
+                   for (a, b) in PAIRS])
 
 
 def dollar_coords(X, bk=EXACT):
@@ -179,21 +143,13 @@ def apply_endo(M, X, bk=EXACT):
 
 
 def dagger(L, bk=EXACT):
-    """(dagger L) X = sum_s [E*_s, L([E_s, X])] over the sharp/dual pairs.
-
-    L may be a 10x10 matrix in the dollar basis or a callable; the result is
-    a 10x10 matrix in the dollar basis.
-    """
-    if callable(L):
-        lfun = L
-    else:
-        lfun = lambda X: apply_endo(L, X, bk)
-    E, Estar = dual_basis(bk)
-
+    """(dagger L) X = sum_s [E*_s, L([E_s, X])] over the sharp/dual pairs,
+    for a 10x10 matrix L in the dollar basis; the result is one too."""
     def dag(X):
         total = zeros((4, 4), bk)
-        for Es, Eds in zip(E, Estar):
-            total = total + bracket(Eds, lfun(bracket(Es, X, bk)), bk)
+        for Es, Eds in zip(sharp_basis(bk), sharp_dual_basis(bk)):
+            LX = apply_endo(L, bracket(Es, X, bk), bk)
+            total = total + bracket(Eds, LX, bk)
         return total
 
     return endo_matrix(dag, bk)
@@ -214,7 +170,7 @@ def real_basis(bk=EXACT):
     chosen = [C for C, new in zip(cands, elim.independent) if new]
     if len(chosen) != 10:
         raise RuntimeError("failed to build a 10-dimensional real form basis")
-    return tuple(chosen)
+    return frozen(chosen)
 
 
 def endo_is_real(M, bk=EXACT):

@@ -7,7 +7,7 @@ tolerance.
 """
 
 from .scalars import get_backend
-from .tensors import zeros, pmat, eye, g8mat, jmats, frob, all_zero
+from .tensors import zeros, pmat, eye, g8mat, jmats, omega_forms, frob, all_zero
 from . import sp2
 from . import irrep
 from . import hk
@@ -151,7 +151,7 @@ def run_irrep(bk, seed=0):
         sq = sq + Fs @ Fs
     out.append(_res_check("frame_casimir",
                           sq + eye(8, bk) * bk.rational(15, 4), bk, scale=10.0))
-    w = irrep.eps_wedge_residual(F, irrep.omega_forms(bk), bk)
+    w = irrep.eps_wedge_residual(F, omega_forms(bk), bk)
     out.append(_res_check("frame_wedge_normalization", w, bk, scale=10.0))
     table = irrep.casimir_decompose(irrep.module_v(bk), kmax=4, lmax=2)
     out.append(CheckResult("module_v_decomposition", table == {(3, 1): 1},
@@ -178,7 +178,7 @@ def run_orbit(bk, seed=0):
                            info="mult(7/2)=%d mult(-3/2)=%d" % (m1, m2)))
     out.append(_res_check("dagger_characterization", hk.dagger_residual(T, bk),
                           bk, scale=frob(T, bk) + 1.0))
-    dim, stab = orbit.stabilizer(irrep.s_hat(bk), bk)
+    dim, stab = orbit.stabilizer(irrep.s_hat(bk))
     joint = orbit.span_rank(list(irrep.upsilons(bk)) + stab, bk)
     out.append(CheckResult("stabilizer", dim == 3 and joint == 3,
                            info="dim=%d joint_rank=%d" % (dim, joint)))
@@ -219,14 +219,17 @@ def run_orbit(bk, seed=0):
 
 def run_models(bk, seed=0):
     out = []
-    compact = models.compact_model(bk)
-    split = models.split_model(bk)
+    # Each member's d(d e^k) array is computed once and read by both its
+    # jacobi_* and its closure_* check.
+    family = {"compact": models.compact_model(bk),
+              "flat": models.coframe_family(bk.zero, bk),
+              "split": models.split_model(bk),
+              "generic": models.coframe_family(bk.one, bk)}
+    compact, split = family["compact"], family["split"]
     for name, cs in (("compact", compact), ("split", split)):
         out.append(_worst_check("jacobi_" + name, list(cs.jacobi_residual()),
                                 bk, scale=100.0))
-    for hval, name in ((bk.rational(-3, 2), "compact"), (bk.zero, "flat"),
-                       (bk.rational(3, 2), "split"), (bk.one, "generic")):
-        cs = models.coframe_family(hval, bk)
+    for name, cs in family.items():
         out.append(CheckResult("closure_" + name, cs.is_closed(),
                                cs.closure_residual()))
     for name, cs in (("compact", compact), ("split", split)):

@@ -1,5 +1,5 @@
 """Component arrays on V^C = W (+) Wbar, dim W = 4, and the structure
-tensors of the adapted basis.
+tensors of the adapted basis: pi, g, J_s, omega_s and Q.
 
 Index bookkeeping follows a fixed Sp(2)-adapted basis: e_{a+2} = j(e_a),
 pi = e^1^e^3 + e^2^e^4, and g is the identity in mixed components.  Indices
@@ -64,6 +64,14 @@ def slot_contract(T, axis, M):
 FLIP = [4, 5, 6, 7, 0, 1, 2, 3]
 
 
+def frozen(arrays):
+    """The arrays as a tuple, each marked read-only: what a cached function
+    returns, so that no caller can change what a later caller gets."""
+    for A in arrays:
+        A.flags.writeable = False
+    return tuple(arrays)
+
+
 @lru_cache(maxsize=None)
 def pmat(bk=EXACT):
     """The matrix of pi_{alpha beta} in the adapted basis (0-based)."""
@@ -109,10 +117,30 @@ def jmats(bk=EXACT):
         for b in range(4):
             J2[a + 4, b] = -P[a, b]
             J2[a, b + 4] = -P[a, b]
-    J3 = J1 @ J2
-    for J in (J1, J2, J3):
-        J.flags.writeable = False
-    return (J1, J2, J3)
+    return frozen((J1, J2, J1 @ J2))
+
+
+@lru_cache(maxsize=None)
+def omega_forms(bk=EXACT):
+    """The Kahler forms omega_s(x, y) = g(J_s x, y) as 8x8 matrices."""
+    return frozen([J.T @ g8mat(bk) for J in jmats(bk)])
+
+
+@lru_cache(maxsize=None)
+def q_tensor(bk=EXACT):
+    """The tensor of R0 type, Q = 4 R0 + 2 sum_s omega_s (x) omega_s:
+
+    Q(x,y,z,w) = g(x,w)g(y,z) - g(x,z)g(y,w)
+                 + sum_s (omega_s(x,z) omega_s(w,y) + omega_s(x,w) omega_s(y,z)).
+    """
+    g = g8mat(bk)
+    gg = np.tensordot(g, g, axes=0)               # g[x,w] g[y,z] at [x,w,y,z]
+    Q = np.transpose(gg, (0, 2, 3, 1)) - np.transpose(gg, (0, 2, 1, 3))
+    for om in omega_forms(bk):
+        t = np.tensordot(om, om, axes=0)
+        Q = Q + np.transpose(t, (0, 3, 1, 2)) + np.transpose(t, (0, 2, 3, 1))
+    Q.flags.writeable = False
+    return Q
 
 
 def sym4(S, bk):

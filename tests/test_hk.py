@@ -76,7 +76,7 @@ def test_operator_orthonormal_sum_agrees():
     K = reference()
     X = sp2.real_basis(bk)[4]
     M = hk.t_k_from_orthonormal_sum(K, X)
-    expect = hk.lowered_endo(hk.t_k_apply(K, X), bk)
+    expect = irrep.lowered_2form(sp2.endo_on_v(hk.t_k_apply(K, X), bk), bk)
     assert all_zero(M - expect, bk, scale=frob(M, bk) + 1.0)
 
 
@@ -97,7 +97,8 @@ def test_tangent_operator_agreement():
     L = hk.HKTensor(Lf[np.ix_(range(4), range(4, 8), range(4), range(4, 8))], bk)
     H = hk.tangent_H(K, L, check_orbit=False)
     Hc = hk.tangent_H_from_contraction(K, L, bk)
-    assert all_zero(hk.lowered_endo(H, bk) - Hc, bk, scale=frob(Hc, bk) + 1.0)
+    assert all_zero(irrep.lowered_2form(sp2.endo_on_v(H, bk), bk) - Hc, bk,
+                    scale=frob(Hc, bk) + 1.0)
 
 
 def test_solve_generator_rejects_nontangent():
@@ -144,5 +145,5 @@ def test_kappa_intertwines_sp2_actions():
     for K in _hk_samples():
         S = hk.kappa_inv(K).S
         Lf = hk.lie_derivative_full8(K.full8(), sp2.endo_on_v(X, bk), bk)
-        expect = hk.kappa(orbit.quartic_action(S, X, bk), bk).Kmix
+        expect = hk.kappa(hk.SymQuartic(orbit.quartic_action(S, X, bk), bk)).Kmix
         assert all_zero(Lf[mixed] - expect, bk)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT, ExactScalar
-from cubicdisc.tensors import zeros, eye, frob, all_zero
+from cubicdisc.tensors import zeros, eye, frob, all_zero, omega_forms
 from cubicdisc import sp2, irrep, hk, linalg
 
 bk = EXACT
@@ -62,14 +62,21 @@ def test_quartic_golden_components():
     assert S[0, 2, 0, 2] == bk.rational(-3, 2)
 
 
+def _quartic_form(S, x):
+    """S(x, x, x, x) for a coordinate vector x of length 4."""
+    for _ in range(4):
+        S = np.tensordot(S, x, axes=([S.ndim - 1], [0]))
+    return S[()]
+
+
 def test_quartic_values():
     S = irrep.s_hat(bk).S
     e1 = zeros((4,), bk)
     e1[0] = bk.one
-    assert not irrep.quartic_form(S, e1, bk)
+    assert not _quartic_form(S, e1)
     e13 = e1.copy()
     e13[2] = bk.one
-    assert irrep.quartic_form(S, e13, bk) == bk.rational(-9)
+    assert _quartic_form(S, e13) == bk.rational(-9)
 
 
 def test_discriminant_values():
@@ -125,7 +132,7 @@ def test_frame_identities():
 
 def test_wedge_normalization():
     w = irrep.eps_wedge_residual(irrep.script_e_frames(bk),
-                                 irrep.omega_forms(bk), bk)
+                                 omega_forms(bk), bk)
     assert all_zero(w, bk, scale=100.0)
 
 

@@ -1,12 +1,53 @@
 """Coframe models: closure, Jacobi, curvature, Einstein property."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT
-from cubicdisc.tensors import frob, all_zero, g8mat
+from cubicdisc.tensors import frob, all_zero, g8mat, zeros, asarray
 from cubicdisc import models, irrep, hk
 
 bk = EXACT
+
+
+def dense_jacobi(cs):
+    """Reference route: the Jacobi sum [[v_i, v_j], v_l] + cyclic for every
+    triple i < j < l, from the dense structure constants."""
+    c = cs.structure_constants()
+    rows = []
+    for i, j, k in itertools.combinations(range(models.N_FORMS), 3):
+        res = zeros((models.N_FORMS,), cs.bk)
+        for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
+            res = res + np.tensordot(c[:, :, e], c[:, a, b], axes=([1], [0]))
+        rows.append(res)
+    return asarray(rows, cs.bk)
+
+
+def random_coframe(seed):
+    """A coframe with random small integer 2-forms; d^2 != 0 for it."""
+    rng = random.Random(seed)
+    d = {}
+    for k in range(models.N_FORMS):
+        pairs = rng.sample(list(itertools.combinations(range(models.N_FORMS), 2)), 6)
+        d[k] = {p: bk.scalar(rng.randint(1, 3), rng.randint(-2, 2)) for p in pairs}
+    return models.CoframeSystem(d, bk)
+
+
+@pytest.mark.parametrize("make", [models.compact_model, models.split_model,
+                                  lambda bk: random_coframe(3)],
+                         ids=["compact", "split", "random"])
+def test_jacobi_residual_matches_dense_reference(make):
+    cs = make(bk)
+    sparse = cs.jacobi_residual()
+    dense = dense_jacobi(cs)
+    assert sparse.shape == dense.shape == (364, models.N_FORMS)
+    assert all(x == y for x, y in zip(sparse.flat, dense.flat))
+    nonzero = sum(1 for x in dense.flat if x)
+    assert (nonzero > 0) == (cs.h is None)
+    assert cs.is_closed() == (cs.h is not None)
 
 
 def test_family_members_are_closed():
@@ -61,7 +102,7 @@ def test_horizontal_adjoint_actions():
 
 
 def test_flat_model_has_zero_curvature():
-    R = models.curvature_tensor(models.flat_model(bk))
+    R = models.curvature_tensor(models.coframe_family(bk.zero, bk))
     assert all_zero(R, bk)
 
 

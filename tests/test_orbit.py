@@ -54,7 +54,7 @@ def test_predicates_agree_on_samples():
 
 
 def test_stabilizer_is_upsilon_span():
-    dim, stab = orbit.stabilizer(irrep.s_hat(bk), bk)
+    dim, stab = orbit.stabilizer(irrep.s_hat(bk))
     assert dim == 3
     joint = orbit.span_rank(list(irrep.upsilons(bk)) + stab, bk)
     assert joint == 3

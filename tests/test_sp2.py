@@ -55,13 +55,13 @@ def test_bracket_matches_endomorphism_commutator():
 
 def test_model_conversion_validates():
     X = sp2.real_basis(bk)[3]
-    A = sp2.model_convert(X, bk, "sym_to_endo")
-    back = sp2.model_convert(A, bk, "endo_to_sym")
+    back = sp2.from_endo(sp2.to_endo(X, bk), bk)
     assert all_zero(X - back, bk, scale=frob(X, bk))
+    sp2.check_sp2(back, bk)
     bad = zeros((4, 4), bk)
     bad[0, 1] = bk.one      # not symmetric
     with pytest.raises(ValueError):
-        sp2.model_convert(bad, bk, "sym_to_endo")
+        sp2.check_sp2(bad, bk)
 
 
 def test_endo_on_v_block_structure():
@@ -84,8 +84,8 @@ def test_dagger_of_identity():
     assert all_zero(dag + eye(10, bk) * bk.rational(6), bk, scale=10.0)
 
 
-def test_dagger_accepts_callable():
-    dag = sp2.dagger(lambda X: X * bk.rational(2), bk)
+def test_dagger_of_scaled_identity():
+    dag = sp2.dagger(eye(10, bk) * bk.rational(2), bk)
     assert all_zero(dag + eye(10, bk) * bk.rational(12), bk, scale=20.0)
 
 

@@ -1,5 +1,7 @@
 """Exact check verdicts are decided in the field, not through float norms."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -56,3 +58,21 @@ def test_solution_structure_fails_on_tiny_residual(monkeypatch):
                         tampered)
     check = _check(suites.run_bianchi(EXACT), "solution_structure")
     assert not check.passed and check.residual == 0.0
+
+
+# The exact report of `verify all --seed 0`: name, passed, residual and info
+# of every check in run order.  README says how to regenerate it.
+GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all_exact_seed0.json"
+
+
+def test_exact_report_matches_golden():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 50
+    assert [c.as_dict() for c in suites.run_suite("all", "exact", seed=0)] == golden
+
+
+def test_float_report_matches_golden_names_and_verdicts():
+    golden = json.loads(GOLDEN.read_text())
+    checks = suites.run_suite("all", "float", seed=0)
+    assert [(c.name, c.passed) for c in checks] == [(c["name"], c["passed"])
+                                                     for c in golden]
