@@ -19,7 +19,7 @@ from .linalg import SparseEliminator
 
 def _threeterm(U, M):
     """T[a,b,c,d] = U[a,b]M[c,d] + U[a,c]M[d,b] + U[a,d]M[b,c]."""
-    t = np.tensordot(U, M, axes=0)
+    t = np.multiply.outer(U, M)
     return t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
 
 
@@ -39,10 +39,10 @@ def cf_type_3(C, F1, G2, G3, bk):
     half = bk.rational(1, 2)
     out = zeros((4, 4, 4, 4), bk)
     for s in range(3):
-        out = out + np.tensordot(upsilons(bk)[s], conj_arr(C[s], bk), axes=0)
-    out = out - np.tensordot(P, conj_arr(F1, bk), axes=0) * (bk.i * half)
+        out = out + np.multiply.outer(upsilons(bk)[s], conj_arr(C[s], bk))
+    out = out - np.multiply.outer(P, conj_arr(F1, bk)) * (bk.i * half)
     G23 = G2 + G3 * bk.i
-    t = np.tensordot(I, G23, axes=0)
+    t = np.multiply.outer(I, G23)
     out = out - np.transpose(t, (0, 2, 3, 1)) * half   # delta[a,d] G23[b,c]
     out = out + np.transpose(t, (0, 2, 1, 3)) * half   # delta[a,c] G23[b,d]
     return out
@@ -55,12 +55,12 @@ def cf_type_2(D, F2, F3, G1, bk):
     half = bk.rational(1, 2)
     out = zeros((4, 4, 4, 4), bk)
     for s in range(3):
-        t = np.tensordot(upsilons(bk)[s], D[s], axes=0)
+        t = np.multiply.outer(upsilons(bk)[s], D[s])
         out = out + t - np.transpose(t, (0, 2, 1, 3))
     F23 = F2 + F3 * bk.i
-    tf = np.tensordot(I, F23, axes=0)
+    tf = np.multiply.outer(I, F23)
     out = out - np.transpose(tf, (0, 2, 3, 1)) * half
-    tg = np.tensordot(P, G1, axes=0)
+    tg = np.multiply.outer(P, G1)
     out = out - (tg - np.transpose(tg, (0, 2, 1, 3))) * (bk.i * half)
     return out
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, pmat, frob, all_zero, slot_contract,
-                      jmap4, is_totally_symmetric, FLIP, g8mat, jmats,
-                      omega_forms, q_tensor)
+                      tensordot, jmap4, is_totally_symmetric, FLIP, g8mat,
+                      jmats, omega_forms, q_tensor)
 from . import sp2
 from . import linalg
 
@@ -42,8 +42,8 @@ class SymQuartic:
 def _kappa_core(S, bk):
     """T[a,b,c,d] = sum_{s,t} S[a,s,c,t] P[s,b] P[t,d]; self-inverse coordinate form."""
     P = pmat(bk)
-    out = np.tensordot(S, P, axes=([1], [0]))        # axes: a, c, t, b
-    out = np.tensordot(out, P, axes=([2], [0]))      # axes: a, c, b, d
+    out = tensordot(S, P, axes=([1], [0]))        # axes: a, c, t, b
+    out = tensordot(out, P, axes=([2], [0]))      # axes: a, c, b, d
     return np.transpose(out, (0, 2, 1, 3))
 
 
@@ -123,7 +123,7 @@ class HKTensor:
 
 def t_k_apply(K, X):
     """T_K in the symmetric model: X'_{ab} = K_{a sbar b tbar} X^{sbar tbar}."""
-    return np.tensordot(K.Kmix, X, axes=([1, 3], [0, 1]))
+    return tensordot(K.Kmix, X, axes=([1, 3], [0, 1]))
 
 
 def t_k(K):
@@ -152,7 +152,7 @@ def t_k_from_orthonormal_sum(K, X):
     f = K.full8()
     # sum_a sum_c f[x, y, a, c] * A8[c, flip(a)]
     Af = A8[:, FLIP]                    # Af[c, a] = A8[c, flip(a)]
-    M = np.tensordot(f, Af, axes=([2, 3], [1, 0]))
+    M = tensordot(f, Af, axes=([2, 3], [1, 0]))
     return M * bk.rational(1, 2)
 
 
@@ -249,7 +249,7 @@ def tangent_H_from_contraction(K, L, bk):
     Lf = L.full8()
     fl = FLIP
     Kf = f[np.ix_(range(8), fl, fl, fl)]
-    M = np.tensordot(Lf, Kf, axes=([1, 2, 3], [1, 2, 3]))
+    M = tensordot(Lf, Kf, axes=([1, 2, 3], [1, 2, 3]))
     return (M - M.T) * bk.rational(1, 120)
 
 
@@ -262,7 +262,7 @@ def contr_kxk_1_residual(K):
     bk = K.bk
     f = K.full8()
     ff = f[:, :, FLIP][:, :, :, FLIP]
-    lhs = np.tensordot(f, ff, axes=([2, 3], [2, 3]))  # [x,y,z,w]
+    lhs = tensordot(f, ff, axes=([2, 3], [2, 3]))  # [x,y,z,w]
     return lhs - f * bk.rational(4) + q_tensor(bk) * bk.rational(21, 8)
 
 
@@ -274,13 +274,13 @@ def contr_kxk_2_residual(K):
     f = K.full8()
     g = g8mat(bk)
     ff = f[:, FLIP][:, :, FLIP]
-    lhs = np.tensordot(f, ff, axes=([1, 2], [1, 2]))  # [x,y,z,w]
+    lhs = tensordot(f, ff, axes=([1, 2], [1, 2]))  # [x,y,z,w]
     fK = np.transpose(f, (0, 2, 1, 3))  # K(x,z,y,w) at [x,y,z,w]
     rhs = fK * bk.rational(2)
-    gterm = np.tensordot(g, g, axes=0)
+    gterm = np.multiply.outer(g, g)
     rhs = rhs + np.transpose(gterm, (0, 2, 1, 3)) * bk.rational(21, 8)
     rhs = rhs + np.transpose(gterm, (0, 2, 3, 1)) * bk.rational(21, 16)
     for G in omega_forms(bk):
-        t = np.tensordot(G, G, axes=0)  # G[x,w] G[y,z]
+        t = np.multiply.outer(G, G)  # G[x,w] G[y,z]
         rhs = rhs - np.transpose(t, (0, 2, 3, 1)) * bk.rational(21, 16)
     return lhs - rhs

@@ -12,7 +12,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, frob,
-                      all_zero, jmap4, frozen)
+                      all_zero, tensordot, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
 from .hk import SymQuartic
@@ -74,9 +74,9 @@ def s_hat(bk=EXACT):
     P = pmat(bk)
     S = zeros((4, 4, 4, 4), bk)
     for U in upsilons(bk):
-        S = S + np.tensordot(U, U, axes=0)
+        S = S + np.multiply.outer(U, U)
     q34 = bk.rational(3, 4)
-    PP = np.tensordot(P, P, axes=0)  # P[a,c] P[b,d] at [a,c,b,d]
+    PP = np.multiply.outer(P, P)  # P[a,c] P[b,d] at [a,c,b,d]
     S = S - np.transpose(PP, (0, 2, 1, 3)) * q34
     S = S - np.transpose(PP, (0, 2, 3, 1)) * q34
     return SymQuartic(S, bk)
@@ -163,15 +163,15 @@ def upsilon_lemma_residuals(bk=EXACT):
 
     total = zeros((4, 4, 4, 4), bk)
     for Us in U:
-        total = total + np.tensordot(Us, Us, axes=0)
-    PP = np.tensordot(P, P, axes=0)
+        total = total + np.multiply.outer(Us, Us)
+    PP = np.multiply.outer(P, P)
     q34 = bk.rational(3, 4)
     expect = S + np.transpose(PP, (0, 2, 1, 3)) * q34 \
                + np.transpose(PP, (0, 2, 3, 1)) * q34
     out["sum_of_squares"] = [total - expect]
 
     out["eigen_contraction"] = [
-        np.tensordot(S, P.T @ Us @ P, axes=([2, 3], [0, 1])) - Us * bk.rational(7, 2)
+        tensordot(S, P.T @ Us @ P, axes=([2, 3], [0, 1])) - Us * bk.rational(7, 2)
         for Us in U]
 
     M = zeros((4, 4), bk)
@@ -272,7 +272,7 @@ def lowered_2form(A, bk):
 
 def wedge2(a, b, bk):
     """Wedge of two 2-forms as a rank-4 alternating array."""
-    t = np.tensordot(a, b, axes=0)  # t[i,j,k,l] = a[i,j] b[k,l]
+    t = np.multiply.outer(a, b)  # t[i,j,k,l] = a[i,j] b[k,l]
 
     def pick(p):
         return np.transpose(t, p)
@@ -282,32 +282,19 @@ def wedge2(a, b, bk):
     return w
 
 
-def eps_wedge_residual(frames, omegas, bk):
+def eps_wedge_residual(frames, bk):
     """sum_s eps_s ^ eps_s + (3/4) * Omega, with Omega = sum_s omega_s ^ omega_s."""
     total = zeros((8, 8, 8, 8), bk)
     for E in frames:
         e = lowered_2form(E, bk)
         total = total + wedge2(e, e, bk)
     Om = zeros((8, 8, 8, 8), bk)
-    for om in omegas:
+    for om in omega_forms(bk):
         Om = Om + wedge2(om, om, bk)
     return total + Om * bk.rational(3, 4)
 
 
 # -- Casimir decomposition ------------------------------------------------
-
-
-def _kron(A, B, bk):
-    n1, m1 = A.shape
-    n2, m2 = B.shape
-    out = zeros((n1 * n2, m1 * m2), bk)
-    for i in range(n1):
-        for j in range(m1):
-            a = A[i, j]
-            if not a:
-                continue
-            out[i * n2:(i + 1) * n2, j * m2:(j + 1) * m2] = B * a
-    return out
 
 
 def closes_as_sp1(gens, bk, scale):
@@ -440,6 +427,6 @@ def module_56(bk=EXACT):
     J = jmats(bk)
     I8 = eye(8, bk)
     I7 = eye(7, bk)
-    e_gens = [_kron(Ev[s], I7, bk) + _kron(I8, restricted[s], bk) for s in range(3)]
-    h_gens = [_kron(J[s] * bk.rational(1, 2), I7, bk) for s in range(3)]
+    e_gens = [np.kron(Ev[s], I7) + np.kron(I8, restricted[s]) for s in range(3)]
+    h_gens = [np.kron(J[s] * bk.rational(1, 2), I7) for s in range(3)]
     return So4Module(e_gens, h_gens, bk)

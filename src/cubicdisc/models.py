@@ -227,8 +227,8 @@ def curvature_tensor(cs):
         om_phi = _horizontal_two_form(cs, 3 + s)
         low_e = frames[s].T @ g
         low_j = (J[s] * half).T @ g
-        R = R + np.tensordot(om_psi, low_e, axes=0)
-        R = R + np.tensordot(om_phi, low_j, axes=0)
+        R = R + np.multiply.outer(om_psi, low_e)
+        R = R + np.multiply.outer(om_phi, low_j)
     return R
 
 
@@ -242,7 +242,7 @@ def r0_tensor(bk=EXACT):
     """
     out = q_tensor(bk)
     for om in omega_forms(bk):
-        out = out - np.tensordot(om, om, axes=0) * bk.rational(2)
+        out = out - np.multiply.outer(om, om) * bk.rational(2)
     return out * bk.rational(1, 4)
 
 

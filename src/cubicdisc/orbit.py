@@ -16,7 +16,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero,
-                      slot_contract, sym4, jmap4, omega_forms, q_tensor)
+                      slot_contract, tensordot, sym4, jmap4, q_tensor)
 from . import sp2
 from . import linalg
 from . import irrep
@@ -50,19 +50,18 @@ def is_cd_theorem(K):
     """
     bk = K.bk
     T = t_k(K)
-    n = T.shape[0]
-    I = eye(n, bk)
+    I = eye(T.shape[0], bk)
     two = bk.rational(2)
-    char = (T * two - I * bk.rational(7)) @ (T * two + I * bk.rational(3))
+    char = tensordot(T * two - I * bk.rational(7), T * two + I * bk.rational(3), 1)
     scale = max(frob(T, bk) ** 2, 1.0)
 
     c = sp2.structure_constants(bk)
     half3 = bk.rational(3, 2)
-    cT = np.tensordot(c, T, axes=([1], [0]))       # [T D_i, D_j] at [k, j, i]
-    res = np.tensordot(cT, T, axes=([1], [0]))     # [T D_i, T D_j] at [k, i, j]
-    res = res - np.tensordot(T, np.transpose(cT, (0, 2, 1)) + c * half3,
-                             axes=([1], [0]))
-    res = res + np.tensordot(c, T, axes=([2], [0])) * half3
+    cT = tensordot(c, T, axes=([1], [0]))     # [T D_i, D_j] at [k, j, i]
+    res = tensordot(cT, T, axes=([1], [0]))   # [T D_i, T D_j] at [k, i, j]
+    res = res - tensordot(T, np.transpose(cT, (0, 2, 1)) + c * half3,
+                          axes=([1], [0]))
+    res = res + tensordot(c, T * half3, axes=([2], [0]))
     return CdReport(all_zero(char, bk, scale=scale) and all_zero(res, bk, scale=scale),
                     {"characteristic": frob(char, bk),
                      "bracket_condition": frob(res, bk)})
@@ -74,8 +73,8 @@ def cd_condition_one_residual(S, bk):
     where U[t,n,a,b] = P[s,t] P[m,n] S[s,m,a,b]."""
     P = pmat(bk)
     U = slot_contract(slot_contract(S, 0, P), 1, P)
-    lhs = np.tensordot(U, S, axes=([0, 1], [0, 1]))
-    PP = np.tensordot(P, P, axes=0)
+    lhs = tensordot(U, S, axes=([0, 1], [0, 1]))
+    PP = np.multiply.outer(P, P)
     rhs = S * bk.rational(2)
     rhs = rhs + np.transpose(PP, (0, 2, 1, 3)) * bk.rational(21, 8)
     rhs = rhs + np.transpose(PP, (0, 2, 3, 1)) * bk.rational(21, 8)
@@ -86,12 +85,11 @@ def cd_condition_two_residual(S, bk):
     """Sym_{abcd}( pi^{st} S_{sabc} S_{tdmn} + (3/4) S_{abcm} pi_{nd}
                   + (3/4) S_{abcn} pi_{md} )."""
     P = pmat(bk)
-    A = np.tensordot(S, P, axes=([0], [0]))          # [a,b,c,t]
-    t1 = np.tensordot(A, S, axes=([3], [0]))         # [a,b,c,d,m,n]
-    q34 = bk.rational(3, 4)
-    SP = np.tensordot(S, P, axes=0)                  # S[a,b,c,x] P[y,z]
-    t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4)) * q34  # S[abcm] P[n,d]
-    t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3)) * q34  # S[abcn] P[m,d]
+    A = tensordot(S, P, axes=([0], [0]))               # [a,b,c,t]
+    t1 = tensordot(A, S, axes=([3], [0]))              # [a,b,c,d,m,n]
+    SP = np.multiply.outer(S, P * bk.rational(3, 4))   # (3/4) S[a,b,c,x] P[y,z]
+    t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4))          # (3/4) S[abcm] P[n,d]
+    t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3))          # (3/4) S[abcn] P[m,d]
     return sym4(t1 + t2 + t3, bk)
 
 
@@ -99,15 +97,14 @@ def cd_averaged_residual(S, bk):
     """Sym_{abcd}( pi^{st} S_{smab} S_{tncd} - (1/4) S_{abcd} pi_{mn}
                   + (1/2) pi_{am} S_{nbcd} - (1/2) pi_{an} S_{mbcd} )."""
     P = pmat(bk)
-    A = np.tensordot(S, P, axes=([0], [0]))          # S[s,m,a,b]P[s,t] -> [m,a,b,t]
-    B = np.tensordot(A, S, axes=([3], [0]))          # [m,a,b,n,c,d]
-    t1 = np.transpose(B, (1, 2, 4, 5, 0, 3))         # -> [a,b,c,d,m,n]
-    t2 = np.tensordot(S, P, axes=0) * bk.rational(-1, 4)
-    PS = np.tensordot(P, S, axes=0)                  # P[x,y] S[p,q,r,s]
-    half = bk.rational(1, 2)
-    t3 = np.transpose(PS, (0, 3, 4, 5, 1, 2)) * half      # P[a,m] S[n,b,c,d]
-    t4 = np.transpose(PS, (0, 3, 4, 5, 2, 1)) * (-half)   # P[a,n] S[m,b,c,d]
-    return sym4(t1 + t2 + t3 + t4, bk)
+    A = tensordot(S, P, axes=([0], [0]))               # S[s,m,a,b]P[s,t] -> [m,a,b,t]
+    B = tensordot(A, S, axes=([3], [0]))               # [m,a,b,n,c,d]
+    t1 = np.transpose(B, (1, 2, 4, 5, 0, 3))           # -> [a,b,c,d,m,n]
+    t2 = np.multiply.outer(S, P * bk.rational(-1, 4))
+    PS = np.multiply.outer(P * bk.rational(1, 2), S)   # (1/2) P[x,y] S[p,q,r,s]
+    t3 = np.transpose(PS, (0, 3, 4, 5, 1, 2))          # (1/2) P[a,m] S[n,b,c,d]
+    t4 = np.transpose(PS, (0, 3, 4, 5, 2, 1))          # (1/2) P[a,n] S[m,b,c,d]
+    return sym4(t1 + t2 + t3 - t4, bk)
 
 
 def is_cd_coordinates(K):
@@ -246,14 +243,13 @@ def k_from_frames(frames, bk=EXACT):
     _check_frames(frames, bk, scale)
     if not irrep.closes_as_sp1(frames, bk, scale):
         return False, None
-    if not all_zero(irrep.eps_wedge_residual(frames, omega_forms(bk), bk), bk,
-                    scale=scale):
+    if not all_zero(irrep.eps_wedge_residual(frames, bk), bk, scale=scale):
         return False, None
 
     f = q_tensor(bk) * bk.rational(3, 8)
     for E in frames:
         e = irrep.lowered_2form(E, bk)
-        f = f + np.tensordot(e, e, axes=0)
+        f = f + np.multiply.outer(e, e)
     Kmix = f[np.ix_(range(4), range(4, 8), range(4), range(4, 8))]
     K = HKTensor(Kmix, bk)
     K.validate()

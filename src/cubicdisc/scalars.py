@@ -11,7 +11,9 @@ have equal representations.  A product is 16 integer multiplies and one
 5-way gcd; a sum over equal denominators is 4 integer adds and one gcd.
 Every zero is the one shared zero object.  Inversion multiplies by the
 Galois conjugates and divides by the resulting rational norm, so no general
-number-field machinery is needed.
+number-field machinery is needed.  An array is split once into four integer
+arrays over one common denominator (`split`), so that bilinear maps run on
+integers (`karatsuba`), and joined back with one gcd per entry (`join`).
 
 The float backend is a cross-check shadow of the exact computations: its
 scalars are Python complex numbers and its arrays numpy complex128 arrays.
@@ -108,7 +110,7 @@ class ExactScalar:
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = other if other.__class__ is ExactScalar else _coerce(other)
         if other is None:
             return NotImplemented
         if self is _ZERO:
@@ -125,7 +127,7 @@ class ExactScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = other if other.__class__ is ExactScalar else _coerce(other)
         if other is None:
             return NotImplemented
         if other is _ZERO:
@@ -153,7 +155,7 @@ class ExactScalar:
         return self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = other if other.__class__ is ExactScalar else _coerce(other)
         if other is None:
             return NotImplemented
         if self is _ZERO or other is _ZERO:
@@ -268,6 +270,46 @@ def _coerce(x):
 
 _ZERO = _new(ExactScalar)
 _set_v(_ZERO, (0, 0, 0, 0, 1))
+
+
+_parts = np.frompyfunc(ExactScalar.ints, 1, 5)
+_join = np.frompyfunc(_make, 5, 1)
+
+
+def split(A):
+    """The split form (a, b, c, d, q) of an object array A of ExactScalar:
+    four integer arrays of A's shape and one common denominator q with
+    A = (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q entry by entry."""
+    a, b, c, d, r = _parts(A.reshape(-1))
+    q = math.lcm(*r)
+    m = q // r
+    return tuple((x * m).reshape(A.shape) for x in (a, b, c, d)) + (q,)
+
+
+def join(a, b, c, d, q):
+    """The object array of ExactScalar whose split form is (a, b, c, d, q),
+    each entry in normal form and every zero the shared zero."""
+    return np.asarray(_join(a, b, c, d, q))
+
+
+def karatsuba(x, y, mul):
+    """The split form of mul(X, Y), for X and Y in split form and mul a map
+    of integer arrays that is bilinear over Z, such as a contraction.
+    With X = A + B*sqrt(3), A = a + b*i and B = c + d*i, the product needs
+    A1 A2, B1 B2 and (A1 + B1)(A2 + B2), and each of these Gaussian products
+    three integer ones (Karatsuba and Ofman, 1963): 9 calls of mul, where
+    the multiplication table of the field takes 16."""
+    def gauss(u, v):
+        re, im = mul(u[0], v[0]), mul(u[1], v[1])
+        return re - im, mul(u[0] + u[1], v[0] + v[1]) - re - im
+
+    a1, b1, c1, d1, q1 = x
+    a2, b2, c2, d2, q2 = y
+    p = gauss((a1, b1), (a2, b2))
+    r = gauss((c1, d1), (c2, d2))
+    s = gauss((a1 + c1, b1 + d1), (a2 + c2, b2 + d2))
+    return (p[0] + 3 * r[0], p[1] + 3 * r[1],
+            s[0] - p[0] - r[0], s[1] - p[1] - r[1], q1 * q2)
 
 
 class ExactBackend:

@@ -85,7 +85,7 @@ def sharp_basis(bk=EXACT):
 def dollar_matrix(a, b, bk=EXACT):
     """$_{ab}: the pi-lowered sharp, ($_{ab})_{mu nu} = (P[a,mu]P[b,nu] + P[a,nu]P[b,mu])/2."""
     P = pmat(bk)
-    M = np.tensordot(P[a], P[b], axes=0)
+    M = np.multiply.outer(P[a], P[b])
     M = (M + M.T) * bk.rational(1, 2)
     return M
 

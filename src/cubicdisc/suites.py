@@ -7,7 +7,7 @@ tolerance.
 """
 
 from .scalars import get_backend
-from .tensors import zeros, pmat, eye, g8mat, jmats, omega_forms, frob, all_zero
+from .tensors import zeros, pmat, eye, g8mat, jmats, frob, all_zero
 from . import sp2
 from . import irrep
 from . import hk
@@ -151,7 +151,7 @@ def run_irrep(bk, seed=0):
         sq = sq + Fs @ Fs
     out.append(_res_check("frame_casimir",
                           sq + eye(8, bk) * bk.rational(15, 4), bk, scale=10.0))
-    w = irrep.eps_wedge_residual(F, omega_forms(bk), bk)
+    w = irrep.eps_wedge_residual(F, bk)
     out.append(_res_check("frame_wedge_normalization", w, bk, scale=10.0))
     table = irrep.casimir_decompose(irrep.module_v(bk), kmax=4, lmax=2)
     out.append(CheckResult("module_v_decomposition", table == {(3, 1): 1},

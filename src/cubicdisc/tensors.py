@@ -10,8 +10,9 @@ unbarred, 4..7 barred).
 
 Every array is built here, by `zeros` or `asarray`, in the backend's dtype:
 object arrays of ExactScalar on exact, complex128 on float.  On complex128
-the conjugate and the norms are numpy's own; only exact arrays are walked
-element by element.
+the conjugate, the norms and `tensordot` are numpy's own.  On exact,
+`tensordot` and `sym4` run on integer arrays (`scalars.split`), and the
+conjugate and the norms walk the array element by element.
 """
 
 from functools import lru_cache
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .scalars import EXACT
+from .scalars import EXACT, split, join, karatsuba
 
 
 def zeros(shape, bk):
@@ -52,12 +53,28 @@ def all_zero(A, bk, scale=1.0):
     return bk.all_zero(asarray(A, bk), scale)
 
 
+def tensordot(A, B, axes=2):
+    """numpy.tensordot on either backend; on exact, 9 integer tensordots of
+    the split operands (`scalars.karatsuba`) and one gcd per result entry.
+
+    >>> from cubicdisc.scalars import EXACT as bk
+    >>> A = asarray([[bk.i, bk.one], [bk.zero, bk.sqrt3]], bk)
+    >>> [[x.ints() for x in row] for row in tensordot(A, A, 1)]
+    [[(-1, 0, 0, 0, 1), (0, 1, 1, 0, 1)], [(0, 0, 0, 0, 1), (3, 0, 0, 0, 1)]]
+    """
+    if A.dtype != object:
+        return np.tensordot(A, B, axes)
+    # Sums of 0-d object arrays are bare ints; asarray keeps them out of int64.
+    return join(*karatsuba(split(A), split(B), lambda x, y: np.tensordot(
+        asarray(x, EXACT), asarray(y, EXACT), axes)))
+
+
 def slot_contract(T, axis, M):
     """Contract axis `axis` of T with the first axis of matrix M.
 
     result[..., i, ...] = sum_j M[j, i] * T[..., j, ...], axis kept in place.
     """
-    out = np.tensordot(T, M, axes=([axis], [0]))
+    out = tensordot(T, M, axes=([axis], [0]))
     return np.moveaxis(out, -1, axis)
 
 
@@ -134,10 +151,10 @@ def q_tensor(bk=EXACT):
                  + sum_s (omega_s(x,z) omega_s(w,y) + omega_s(x,w) omega_s(y,z)).
     """
     g = g8mat(bk)
-    gg = np.tensordot(g, g, axes=0)               # g[x,w] g[y,z] at [x,w,y,z]
+    gg = np.multiply.outer(g, g)                  # g[x,w] g[y,z] at [x,w,y,z]
     Q = np.transpose(gg, (0, 2, 3, 1)) - np.transpose(gg, (0, 2, 1, 3))
     for om in omega_forms(bk):
-        t = np.tensordot(om, om, axes=0)
+        t = np.multiply.outer(om, om)
         Q = Q + np.transpose(t, (0, 3, 1, 2)) + np.transpose(t, (0, 2, 3, 1))
     Q.flags.writeable = False
     return Q
@@ -150,16 +167,22 @@ def sym4(S, bk):
     The sum over S_4 is built one slot at a time: the identity and the
     transpositions (j k), j < k, are coset representatives of S_{k-1} in
     S_k, so sum_{S_k} = (1 + sum_{j<k} (j k)) sum_{S_{k-1}}.  That is 6
-    array additions instead of 23, and the same sum."""
-    total = S
-    for k in range(1, 4):
-        part = total
-        for j in range(k):
-            perm = list(range(S.ndim))
-            perm[j], perm[k] = k, j
-            part = part + np.transpose(total, perm)
-        total = part
-    return total * bk.rational(1, 24)
+    array additions instead of 23, and the same sum.  On exact they run on
+    the split form, and the 1/24 goes into its denominator."""
+    def coset_sum(total):
+        for k in range(1, 4):
+            part = total
+            for j in range(k):
+                perm = list(range(S.ndim))
+                perm[j], perm[k] = k, j
+                part = part + np.transpose(total, perm)
+            total = part
+        return total
+
+    if S.dtype != object:
+        return coset_sum(S) * bk.rational(1, 24)
+    *abcd, q = split(S)
+    return join(*map(coset_sum, abcd), 24 * q)
 
 
 def jmap4(S, bk):

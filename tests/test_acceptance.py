@@ -7,7 +7,7 @@ import numpy as np
 
 from cubicdisc.scalars import EXACT
 from cubicdisc.tensors import zeros, eye, pmat, g8mat, frob, all_zero
-from cubicdisc import sp2, irrep, hk, orbit, models, bianchi, suites, tensors
+from cubicdisc import sp2, irrep, hk, orbit, models, bianchi, suites
 
 bk = EXACT
 
@@ -134,9 +134,7 @@ def test_criterion_07_frame_reconstruction():
         total = total + Fs @ Fs
     ok = ok and all_zero(total + eye(8, bk) * bk.rational(15, 4), bk,
                          scale=10.0)
-    ok = ok and all_zero(
-        irrep.eps_wedge_residual(F, tensors.omega_forms(bk), bk), bk,
-        scale=100.0)
+    ok = ok and all_zero(irrep.eps_wedge_residual(F, bk), bk, scale=100.0)
     verdict, K = orbit.k_from_frames(list(F), bk)
     ok = ok and verdict and K == hk.kappa(irrep.s_hat(bk))
     scaled_verdict, _ = orbit.k_from_frames([Fs * bk.rational(2) for Fs in F],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT, ExactScalar
-from cubicdisc.tensors import zeros, eye, frob, all_zero, omega_forms
+from cubicdisc.tensors import zeros, eye, frob, all_zero
 from cubicdisc import sp2, irrep, hk, linalg
 
 bk = EXACT
@@ -131,8 +131,7 @@ def test_frame_identities():
 
 
 def test_wedge_normalization():
-    w = irrep.eps_wedge_residual(irrep.script_e_frames(bk),
-                                 omega_forms(bk), bk)
+    w = irrep.eps_wedge_residual(irrep.script_e_frames(bk), bk)
     assert all_zero(w, bk, scale=100.0)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc.tensors import frob, all_zero
 from cubicdisc import sp2, hk, irrep, orbit
 
@@ -92,6 +92,26 @@ def test_is_cd_theorem_evaluates_t_k_once(monkeypatch):
     monkeypatch.setattr(orbit, "t_k_apply", counted)
     assert orbit.is_cd_theorem(reference()).verdict
     assert len(calls) == 10
+
+
+def test_predicates_contract_on_integer_arrays(monkeypatch):
+    # Both predicates on a Cayley-transported point take about 94k scalar
+    # products when every contraction multiplies ExactScalar objects, and
+    # about 8k when they run on integer arrays (tensors.tensordot).
+    K = reference()
+    orbit.is_cd_theorem(K)                      # fill the shared caches
+    Kt = orbit.transport_hk(K, orbit.cayley_sp2(orbit.random_sp2(10, bk), bk))
+    calls = []
+    mul = ExactScalar.__mul__
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(ExactScalar, "__mul__", counted)
+    assert orbit.is_cd_coordinates(Kt).verdict
+    assert orbit.is_cd_theorem(Kt).verdict
+    assert len(calls) < 16000
 
 
 def test_cayley_produces_group_elements():

@@ -19,7 +19,6 @@ ALLOWED = {
     "jsonio.loads": "entry point: JSON deserialization, the inverse of dumps",
     "hk.tangent_H": "entry point: the tangent-space operator H of the paper",
     "irrep.module_sp2": "entry point: the sp(2) carrier of the torsion benchmark",
-    "scalars.ExactScalar.ints": "entry point: the (a, b, c, d, q) representation",
     # reference routes that tests compare the working route against
     "hk.HKTensor.bianchi_residual": "reference route: first Bianchi identity",
     "hk.HKTensor.j_invariance_residual": "reference route: J_s-invariance",

@@ -1,14 +1,17 @@
 """Structure tensors, the antilinear j-map, and symmetrization on raw arrays."""
 
+from fractions import Fraction
 import itertools
+import math
 import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicdisc import hk, irrep, jsonio, sp2, tensors
-from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc.tensors import (zeros, pmat, eye, g8mat, jmats, frob, all_zero,
                                FLIP, jmap4, sym4, is_totally_symmetric)
 
@@ -129,3 +132,69 @@ def test_object_arrays_are_built_only_in_tensors():
     src = pathlib.Path(tensors.__file__).parent
     hits = {p.name for p in src.glob("*.py") if "dtype=object" in p.read_text()}
     assert hits <= {"tensors.py"}
+
+
+# -- the contraction kernel against element-wise numpy.tensordot -----------
+
+coeffs = st.one_of(
+    st.just(0),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    # 80-bit numerators and denominators, far past what int64 holds.
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)))
+entries = st.one_of(st.just(EXACT.zero),
+                    st.builds(ExactScalar, coeffs, coeffs, coeffs, coeffs))
+
+
+@st.composite
+def contractions(draw):
+    """Shapes of two operands and an `axes` that numpy.tensordot accepts:
+    0, an int, or a pair of lists naming the summed slots in any order."""
+    dims = st.lists(st.integers(1, 3), max_size=2)
+    free_a, summed, free_b = draw(dims), draw(dims), draw(dims)
+    k = len(summed)
+    if draw(st.booleans()):
+        return tuple(free_a + summed), tuple(summed + free_b), k
+    pa = draw(st.permutations(range(len(free_a) + k)))
+    pb = draw(st.permutations(range(k + len(free_b))))
+    shape_a, shape_b = free_a + summed, summed + free_b
+    axes = ([pa.index(len(free_a) + j) for j in range(k)],
+            [pb.index(j) for j in range(k)])
+    return (tuple(shape_a[i] for i in pa), tuple(shape_b[i] for i in pb), axes)
+
+
+@st.composite
+def exact_operand(draw, shape):
+    """An object array of ExactScalar; one in five is all zero."""
+    n = math.prod(shape)
+    if draw(st.integers(0, 4)) == 0:
+        return zeros(shape, EXACT)
+    return tensors.asarray(draw(st.lists(entries, min_size=n, max_size=n)),
+                           EXACT).reshape(shape)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_tensordot_matches_elementwise_oracle(data):
+    shape_a, shape_b, axes = data.draw(contractions())
+    A = data.draw(exact_operand(shape_a))
+    B = data.draw(exact_operand(shape_b))
+    got = tensors.tensordot(A, B, axes)
+    want = np.tensordot(A, B, axes)
+    assert got.dtype == object and got.shape == want.shape
+    assert (got == want).all()
+    for x in got.flat:
+        a, b, c, d, q = x.ints()
+        assert q > 0 and math.gcd(a, b, c, d, q) == 1
+        assert x or x is EXACT.zero
+
+
+@given(contractions(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tensordot_is_numpy_on_complex128(contraction, seed):
+    shape_a, shape_b, axes = contraction
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+    B = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+    got = tensors.tensordot(A, B, axes)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, np.tensordot(A, B, axes))
