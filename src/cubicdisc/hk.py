@@ -8,63 +8,69 @@ deltabar}; the full tensor on the 8-dimensional space is reconstructed from
 the pair antisymmetries and reality.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, pmat, frob, all_zero, slot_contract,
-                      tensordot, jmap4, is_totally_symmetric, FLIP, g8mat,
-                      jmats, omega_forms, q_tensor)
+from .tensors import (zeros, asarray, split, frob, all_zero, slot_contract,
+                      p_contract, tensordot, jmap4, is_totally_symmetric, FLIP,
+                      g8mat, jmats, omega_forms, q_tensor, frozen)
 from . import sp2
 from . import linalg
 
 
 class SymQuartic:
-    """Totally symmetric, j-real rank-4 tensor S_{alpha beta gamma delta}."""
+    """Totally symmetric, j-real rank-4 tensor S_{alpha beta gamma delta},
+    held in split form; the component array S is joined on the first read."""
 
     def __init__(self, S, bk=EXACT):
         self.bk = bk
-        self.S = asarray(S, bk).copy()
-        self.S.flags.writeable = False
+        self.split = split(S, bk)
         self.validate()
 
+    @cached_property
+    def S(self):
+        return frozen([asarray(self.split, self.bk)])[0]
+
     def validate(self):
-        if not is_totally_symmetric(self.S, self.bk):
+        S, bk = self.split, self.bk
+        if not is_totally_symmetric(S, bk):
             raise ValueError("quartic is not totally symmetric")
-        if not all_zero(self.S - jmap4(self.S, self.bk), self.bk,
-                        scale=frob(self.S, self.bk)):
+        if not all_zero(S - jmap4(S, bk), bk, scale=frob(S, bk)):
             raise ValueError("quartic violates the j-reality condition")
 
     def __eq__(self, other):
-        return all_zero(self.S - other.S, self.bk,
-                        scale=frob(self.S, self.bk) + frob(other.S, other.bk))
+        return all_zero(self.split - other.split, self.bk,
+                        scale=frob(self.split, self.bk) + frob(other.split, other.bk))
 
 
 def _kappa_core(S, bk):
     """T[a,b,c,d] = sum_{s,t} S[a,s,c,t] P[s,b] P[t,d]; self-inverse coordinate form."""
-    P = pmat(bk)
-    out = tensordot(S, P, axes=([1], [0]))        # axes: a, c, t, b
-    out = tensordot(out, P, axes=([2], [0]))      # axes: a, c, b, d
-    return np.transpose(out, (0, 2, 1, 3))
+    return p_contract(p_contract(S, 1, bk), 3, bk)
 
 
 def kappa(S):
     """The isomorphism from symmetric quartics to HK curvature type tensors."""
-    return HKTensor(_kappa_core(S.S, S.bk), S.bk)
+    return HKTensor(_kappa_core(S.split, S.bk), S.bk)
 
 
 def kappa_inv(K):
     """Inverse of kappa; output is validated totally symmetric and j-real."""
-    return SymQuartic(_kappa_core(K.Kmix, K.bk), K.bk)
+    return SymQuartic(_kappa_core(K.split, K.bk), K.bk)
 
 
 class HKTensor:
-    """Hyper-Kahler curvature type tensor, stored via mixed components."""
+    """Hyper-Kahler curvature type tensor: mixed components, split as in SymQuartic."""
 
     def __init__(self, Kmix, bk=EXACT):
         self.bk = bk
-        self.Kmix = asarray(Kmix, bk).copy()
-        self.Kmix.flags.writeable = False
+        self.split = split(Kmix, bk)
         self._full8 = None
+
+    @cached_property
+    def Kmix(self):
+        return frozen([asarray(self.split, self.bk)])[0]
 
     def quartic(self):
         return kappa_inv(self)
@@ -73,9 +79,7 @@ class HKTensor:
         """K is of HK curvature type iff kappa_inv(K) is symmetric and j-real."""
         self.quartic()
 
-    def __eq__(self, other):
-        return all_zero(self.Kmix - other.Kmix, self.bk,
-                        scale=frob(self.Kmix, self.bk) + frob(other.Kmix, other.bk))
+    __eq__ = SymQuartic.__eq__
 
     def full8(self):
         """Dense components on V^C: indices 0..3 unbarred, 4..7 barred."""
@@ -123,7 +127,7 @@ class HKTensor:
 
 def t_k_apply(K, X):
     """T_K in the symmetric model: X'_{ab} = K_{a sbar b tbar} X^{sbar tbar}."""
-    return tensordot(K.Kmix, X, axes=([1, 3], [0, 1]))
+    return asarray(tensordot(K.split, X, axes=([1, 3], [0, 1])), K.bk)
 
 
 def t_k(K):

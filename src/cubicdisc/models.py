@@ -103,7 +103,10 @@ class CoframeSystem:
                    default=0.0)
 
     def is_closed(self):
-        """d^2 = 0, with each entry judged at the squared coefficient scale."""
+        """d^2 = 0 (the Jacobi identity): the one rule of the closure_* and
+        jacobi_* checks.  Each entry of d(d e^k) is a sum of products of two
+        coefficients, so it is judged zero at the scale max(1, c)^2, c the
+        largest |coefficient|."""
         bk = self.bk
         scale = max((abs(bk.to_complex(v)) for f in self.d.values()
                      for v in f.values()), default=1.0)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero,
-                      slot_contract, tensordot, sym4, jmap4, q_tensor)
+                      slot_contract, p_contract, split, tensordot, sym4, jmap4,
+                      q_tensor)
 from . import sp2
 from . import linalg
 from . import irrep
@@ -49,13 +50,13 @@ def is_cd_theorem(K):
     matrix T with the structure constants c of sp(2).
     """
     bk = K.bk
-    T = t_k(K)
+    T = split(t_k(K), bk)
     I = eye(T.shape[0], bk)
     two = bk.rational(2)
     char = tensordot(T * two - I * bk.rational(7), T * two + I * bk.rational(3), 1)
     scale = max(frob(T, bk) ** 2, 1.0)
 
-    c = sp2.structure_constants(bk)
+    c = split(sp2.structure_constants(bk), bk)
     half3 = bk.rational(3, 2)
     cT = tensordot(c, T, axes=([1], [0]))     # [T D_i, D_j] at [k, j, i]
     res = tensordot(cT, T, axes=([1], [0]))   # [T D_i, T D_j] at [k, i, j]
@@ -72,7 +73,7 @@ def cd_condition_one_residual(S, bk):
        - (21/8)(P[a,c]P[b,d] + P[a,d]P[b,c]),
     where U[t,n,a,b] = P[s,t] P[m,n] S[s,m,a,b]."""
     P = pmat(bk)
-    U = slot_contract(slot_contract(S, 0, P), 1, P)
+    U = p_contract(p_contract(S, 0, bk), 1, bk)
     lhs = tensordot(U, S, axes=([0, 1], [0, 1]))
     PP = np.multiply.outer(P, P)
     rhs = S * bk.rational(2)
@@ -85,12 +86,12 @@ def cd_condition_two_residual(S, bk):
     """Sym_{abcd}( pi^{st} S_{sabc} S_{tdmn} + (3/4) S_{abcm} pi_{nd}
                   + (3/4) S_{abcn} pi_{md} )."""
     P = pmat(bk)
-    A = tensordot(S, P, axes=([0], [0]))               # [a,b,c,t]
-    t1 = tensordot(A, S, axes=([3], [0]))              # [a,b,c,d,m,n]
+    A = np.moveaxis(p_contract(S, 0, bk), 0, -1)       # [a,b,c,t]
     SP = np.multiply.outer(S, P * bk.rational(3, 4))   # (3/4) S[a,b,c,x] P[y,z]
     t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4))          # (3/4) S[abcm] P[n,d]
     t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3))          # (3/4) S[abcn] P[m,d]
-    return sym4(t1 + t2 + t3, bk)
+    # The first term, at [a,b,c,d,m,n], is unnamed so it is freed before sym4 runs.
+    return sym4(tensordot(A, S, axes=([3], [0])) + t2 + t3, bk)
 
 
 def cd_averaged_residual(S, bk):
@@ -111,7 +112,7 @@ def is_cd_coordinates(K):
     """Coordinate-level test on the quartic S = kappa_inv(K)."""
     S = kappa_inv(K)
     bk = S.bk
-    arr = S.S
+    arr = S.split
     scale = max(frob(arr, bk) ** 2, 1.0)
     r1 = cd_condition_one_residual(arr, bk)
     r2 = cd_condition_two_residual(arr, bk)
@@ -200,7 +201,7 @@ def check_group_element(M, bk):
 
 def transport_quartic(S, M):
     """Pullback of a SymQuartic along a group element M (right action)."""
-    out = S.S
+    out = S.split
     for axis in range(4):
         out = slot_contract(out, axis, M)
     return SymQuartic(out, S.bk)

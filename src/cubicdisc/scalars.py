@@ -11,9 +11,10 @@ have equal representations.  A product is 16 integer multiplies and one
 5-way gcd; a sum over equal denominators is 4 integer adds and one gcd.
 Every zero is the one shared zero object.  Inversion multiplies by the
 Galois conjugates and divides by the resulting rational norm, so no general
-number-field machinery is needed.  An array is split once into four integer
-arrays over one common denominator (`split`), so that bilinear maps run on
-integers (`karatsuba`), and joined back with one gcd per entry (`join`).
+number-field machinery is needed.  An ExactArray holds a whole array the
+same way, four integer arrays over one common denominator, so that sums,
+contractions and other bilinear maps run on integers (`karatsuba`), with
+one gcd per product array, and are joined back into scalars only on request.
 
 The float backend is a cross-check shadow of the exact computations: its
 scalars are Python complex numbers and its arrays numpy complex128 arrays.
@@ -23,6 +24,7 @@ for float.
 
 from fractions import Fraction
 import math
+import operator
 
 import numpy as np
 
@@ -177,6 +179,8 @@ class ExactScalar:
         a, b, c, d, q = self._v
         return _make(a, -b, c, -d, q)
 
+    conjugate = conj                # what np.conj calls on object arrays
+
     def inv(self):
         if self is _ZERO:
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt(3))")
@@ -276,20 +280,115 @@ _parts = np.frompyfunc(ExactScalar.ints, 1, 5)
 _join = np.frompyfunc(_make, 5, 1)
 
 
-def split(A):
-    """The split form (a, b, c, d, q) of an object array A of ExactScalar:
-    four integer arrays of A's shape and one common denominator q with
-    A = (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q entry by entry."""
-    a, b, c, d, r = _parts(A.reshape(-1))
-    q = math.lcm(*r)
-    m = q // r
-    return tuple((x * m).reshape(A.shape) for x in (a, b, c, d)) + (q,)
+def _ints(x):
+    # Ops on 0-d object arrays give bare ints; keep them out of int64.
+    return np.asarray(x, dtype=ExactArray.dtype)
 
 
-def join(a, b, c, d, q):
-    """The object array of ExactScalar whose split form is (a, b, c, d, q),
-    each entry in normal form and every zero the shared zero."""
-    return np.asarray(_join(a, b, c, d, q))
+def _wrap(a, b, c, d, q):
+    x = _new(ExactArray)
+    x._v = (_ints(a), _ints(b), _ints(c), _ints(d), q)
+    return x
+
+
+def _reduced(a, b, c, d, q):
+    """_wrap(a, b, c, d, q) divided by the gcd of q and every numerator."""
+    g = _gcd(q, *_ints(a).flat, *_ints(b).flat, *_ints(c).flat, *_ints(d).flat)
+    v = (a, b, c, d) if g == 1 else (a // g, b // g, c // g, d // g)
+    return _wrap(*v, q // g)
+
+
+class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
+    """An array (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q over Q(i, sqrt(3)):
+    four integer object arrays over one q > 0, each product divided by one
+    gcd.  `+`, `-`, `*` (by a scalar or element-wise), `tensordot`, `np.conj`,
+    `np.multiply.outer`, `np.transpose`, `np.moveaxis` and `np.take` return
+    an ExactArray; `np.asarray` joins it back into ExactScalar objects, each
+    in normal form and every zero the shared zero.
+
+    >>> X = ExactArray.of([[ExactScalar(1, 1), ExactScalar("1/2")],
+    ...                    [ExactScalar(0), ExactScalar(0, 0, 1)]])
+    >>> Y = np.conj(X) * 2 - X.tensordot(X, 1)
+    >>> [[y.ints() for y in row] for row in np.asarray(Y)]
+    [[(2, -4, 0, 0, 1), (1, -1, -1, 0, 2)], [(0, 0, 0, 0, 1), (-3, 0, 2, 0, 1)]]
+    >>> Y.any(), (Y - Y).any()
+    (True, False)
+    """
+
+    __slots__ = ("_v",)
+    dtype = np.dtype(object)        # the dtype of its join
+    shape = property(lambda self: self._v[0].shape)
+    ndim = property(lambda self: self._v[0].ndim)
+
+    @staticmethod
+    def of(x):
+        """x (an ExactArray, array, list or scalar) in split form, no gcd."""
+        if x.__class__ is ExactArray:
+            return x
+        s = _coerce(x)
+        A = _ints(x if s is None else s)
+        a, b, c, d, r = _parts(A.reshape(-1))
+        q = math.lcm(*r)
+        m = q // r
+        return _wrap(*((u * m).reshape(A.shape) for u in (a, b, c, d)), q)
+
+    def __array__(self, dtype=None, copy=None):
+        return _ints(_join(*self._v))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _UFUNCS.get((ufunc, method))
+        if op is None or kwargs:
+            return NotImplemented
+        return op(*map(ExactArray.of, inputs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func not in (np.transpose, np.moveaxis, np.take) or args[0] is not self:
+            return NotImplemented
+        *v, q = self._v
+        return _wrap(*(func(x, *args[1:], **kwargs) for x in v), q)
+
+    def _plus(self, other, op):
+        (*x, q1), (*y, q2) = self._v, other._v
+        if q1 != q2:
+            q = math.lcm(q1, q2)
+            x, y, q1 = [u * (q // q1) for u in x], [u * (q // q2) for u in y], q
+        return _wrap(*map(op, x, y), q1)
+
+    def _times(self, other, mul):
+        """mul(self, other) for a Z-bilinear mul: 4 calls if a factor is rational."""
+        (a1, *r1, q1), (a2, *r2, q2) = self._v, other._v
+        if not any(x.any() for x in r2):
+            return _reduced(*(mul(x, a2) for x in (a1, *r1)), q1 * q2)
+        if not any(x.any() for x in r1):
+            return _reduced(*(mul(a1, y) for y in (a2, *r2)), q1 * q2)
+        return _reduced(*karatsuba(self._v, other._v,
+                                   lambda x, y: mul(_ints(x), _ints(y))))
+
+    def tensordot(self, other, axes):
+        return self._times(ExactArray.of(other), lambda x, y: np.tensordot(x, y, axes))
+
+    def any(self):
+        """Whether some entry is nonzero: the exact zero test."""
+        return any(x.any() for x in self._v[:4])
+
+    def frob(self):
+        """The Frobenius norm, each entry rounded as ExactScalar.to_complex."""
+        if not self.any():
+            return 0.0
+        a, b, c, d, q = self._v
+        re, im = np.ravel(a / q + c / q * _SQRT3), np.ravel(b / q + d / q * _SQRT3)
+        return math.sqrt(sum(abs(z) ** 2 for z in map(complex, re, im)))
+
+
+_UFUNCS = {
+    (np.add, "__call__"): lambda x, y: x._plus(y, operator.add),
+    (np.subtract, "__call__"): lambda x, y: x._plus(y, operator.sub),
+    (np.multiply, "__call__"): lambda x, y: x._times(y, np.multiply),
+    (np.multiply, "outer"): lambda x, y: x._times(y, np.multiply.outer),
+    (np.negative, "__call__"): lambda x: _wrap(*(-u for u in x._v[:4]), x._v[4]),
+    (np.conjugate, "__call__"): lambda x: _wrap(x._v[0], -x._v[1], x._v[2],
+                                                -x._v[3], x._v[4]),
+}
 
 
 def karatsuba(x, y, mul):
@@ -344,7 +443,7 @@ class ExactBackend:
         return not x
 
     def all_zero(self, A, scale=1.0):
-        return not any(A.flat)
+        return not (A.any() if A.__class__ is ExactArray else any(A.flat))
 
     def pivot_weight(self, x):
         """How elimination ranks x as a pivot: 1 if x is nonzero, else 0.

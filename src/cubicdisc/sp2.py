@@ -13,7 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4, frozen
+from .tensors import (zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4,
+                      frozen, PROWS, psigns)
 from . import linalg
 
 PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
@@ -102,14 +103,21 @@ def sharp_dual_basis(bk=EXACT):
                    for (a, b) in PAIRS])
 
 
+@lru_cache(maxsize=None)
+def _coord_weights(bk):
+    """(P^T X P)[a, b] = s_a s_b X[PROWS[a], PROWS[b]], s = psigns(bk): the
+    sign of each dollar coordinate, doubled off the diagonal."""
+    s = psigns(bk)
+    return frozen([asarray([s[a] * s[b] * bk.rational(1 if a == b else 2)
+                            for a, b in PAIRS], bk)])[0]
+
+
 def dollar_coords(X, bk=EXACT):
-    """Coordinates of X in the dollar basis (length 10)."""
-    P = pmat(bk)
-    c = P.T @ X @ P
-    v = []
-    for (a, b) in PAIRS:
-        v.append(c[a, b] if a == b else c[a, b] * bk.rational(2))
-    return asarray(v, bk)
+    """Coordinates of X in the dollar basis, along a new first axis of
+    length 10 (X may carry further axes after its two matrix slots): the
+    entries (P^T X P)[a, b] over PAIRS, doubled off the diagonal."""
+    rows, cols = ([PROWS[ab[k]] for ab in PAIRS] for k in (0, 1))
+    return X[rows, cols] * _coord_weights(bk).reshape((10,) + (1,) * (X.ndim - 2))
 
 
 def from_dollar_coords(v, bk=EXACT):
@@ -122,10 +130,7 @@ def from_dollar_coords(v, bk=EXACT):
 
 def endo_matrix(fun, bk=EXACT):
     """The 10x10 matrix, in the dollar basis, of a linear map on sp(2)(x)C."""
-    M = zeros((10, 10), bk)
-    for k, D in enumerate(dollar_basis(bk)):
-        M[:, k] = dollar_coords(fun(D), bk)
-    return M
+    return dollar_coords(np.stack([fun(D) for D in dollar_basis(bk)], axis=-1), bk)
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,10 @@ unbarred, 4..7 barred).
 
 Every array is built here, by `zeros` or `asarray`, in the backend's dtype:
 object arrays of ExactScalar on exact, complex128 on float.  On complex128
-the conjugate, the norms and `tensordot` are numpy's own.  On exact,
-`tensordot` and `sym4` run on integer arrays (`scalars.split`), and the
-conjugate and the norms walk the array element by element.
+the conjugate, the norms and `tensordot` are numpy's own.  On exact, `split`
+gives a `scalars.ExactArray`: the contractions, `sym4`, `jmap4` and
+`conj_arr` keep it, `frob` and `all_zero` read it, and `asarray` joins it
+back into objects for callers that index, `@` or store.
 """
 
 from functools import lru_cache
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .scalars import EXACT, split, join, karatsuba
+from .scalars import EXACT, ExactArray
 
 
 def zeros(shape, bk):
@@ -29,19 +30,25 @@ def zeros(shape, bk):
 
 def asarray(x, bk):
     """x (an array or nested lists of backend scalars) as an array of the
-    backend's dtype; an array that already has it is returned as is."""
+    backend's dtype; an array that already has it is returned as is.  This
+    is the one join of an ExactArray back into ExactScalar objects."""
     return np.asarray(x, dtype=bk.dtype)
 
 
+def split(A, bk):
+    """A in the backend's split form, a value no caller can change: an
+    ExactArray on exact, a read-only complex128 copy on float."""
+    return ExactArray.of(A) if bk.dtype is object else frozen([asarray(A, bk).copy()])[0]
+
+
 def conj_arr(A, bk):
-    A = asarray(A, bk)
-    if A.dtype != object:
-        return np.conj(A)
-    return asarray([bk.conj(x) for x in A.flat], bk).reshape(A.shape)
+    return np.conj(A if isinstance(A, ExactArray) else asarray(A, bk))
 
 
 def frob(A, bk):
     """Frobenius norm of an array of backend scalars, as a float."""
+    if isinstance(A, ExactArray):
+        return A.frob()
     A = asarray(A, bk)
     if A.dtype != object:
         return float(np.linalg.norm(A))
@@ -50,12 +57,12 @@ def frob(A, bk):
 
 def all_zero(A, bk, scale=1.0):
     """Whether the array A is zero under the backend's policy (bk.all_zero)."""
-    return bk.all_zero(asarray(A, bk), scale)
+    return bk.all_zero(A if isinstance(A, ExactArray) else asarray(A, bk), scale)
 
 
 def tensordot(A, B, axes=2):
-    """numpy.tensordot on either backend; on exact, 9 integer tensordots of
-    the split operands (`scalars.karatsuba`) and one gcd per result entry.
+    """numpy.tensordot on either backend.  On exact, ExactArray.tensordot of
+    the split operands: an ExactArray if either operand is one, else joined.
 
     >>> from cubicdisc.scalars import EXACT as bk
     >>> A = asarray([[bk.i, bk.one], [bk.zero, bk.sqrt3]], bk)
@@ -64,9 +71,8 @@ def tensordot(A, B, axes=2):
     """
     if A.dtype != object:
         return np.tensordot(A, B, axes)
-    # Sums of 0-d object arrays are bare ints; asarray keeps them out of int64.
-    return join(*karatsuba(split(A), split(B), lambda x, y: np.tensordot(
-        asarray(x, EXACT), asarray(y, EXACT), axes)))
+    out = ExactArray.of(A).tensordot(B, axes)
+    return out if ExactArray in (type(A), type(B)) else asarray(out, EXACT)
 
 
 def slot_contract(T, axis, M):
@@ -76,6 +82,22 @@ def slot_contract(T, axis, M):
     """
     out = tensordot(T, M, axes=([axis], [0]))
     return np.moveaxis(out, -1, axis)
+
+
+PROWS = [2, 3, 0, 1]     # column i of pmat has its one nonzero entry in row PROWS[i]
+
+
+@lru_cache(maxsize=None)
+def psigns(bk=EXACT):
+    """Those entries P[PROWS[i], i] of pmat: (-1, -1, 1, 1)."""
+    return frozen([asarray([-bk.one, -bk.one, bk.one, bk.one], bk)])[0]
+
+
+def p_contract(T, axis, bk):
+    """slot_contract(T, axis, pmat(bk)) with no sums: the slot reindexed by
+    PROWS and multiplied by psigns."""
+    shape = [4 if k == axis else 1 for k in range(T.ndim)]
+    return np.take(T, PROWS, axis=axis) * psigns(bk).reshape(shape)
 
 
 FLIP = [4, 5, 6, 7, 0, 1, 2, 3]
@@ -93,10 +115,7 @@ def frozen(arrays):
 def pmat(bk=EXACT):
     """The matrix of pi_{alpha beta} in the adapted basis (0-based)."""
     P = zeros((4, 4), bk)
-    P[0, 2] = bk.one
-    P[1, 3] = bk.one
-    P[2, 0] = -bk.one
-    P[3, 1] = -bk.one
+    P[PROWS, range(4)] = psigns(bk)
     P.flags.writeable = False
     return P
 
@@ -168,7 +187,7 @@ def sym4(S, bk):
     transpositions (j k), j < k, are coset representatives of S_{k-1} in
     S_k, so sum_{S_k} = (1 + sum_{j<k} (j k)) sum_{S_{k-1}}.  That is 6
     array additions instead of 23, and the same sum.  On exact they run on
-    the split form, and the 1/24 goes into its denominator."""
+    the split form, joined back if S was an object array."""
     def coset_sum(total):
         for k in range(1, 4):
             part = total
@@ -179,25 +198,21 @@ def sym4(S, bk):
             total = part
         return total
 
-    if S.dtype != object:
-        return coset_sum(S) * bk.rational(1, 24)
-    *abcd, q = split(S)
-    return join(*map(coset_sum, abcd), 24 * q)
+    out = coset_sum(ExactArray.of(S) if S.dtype == object else S) * bk.rational(1, 24)
+    return out if isinstance(S, ExactArray) else asarray(out, bk)
 
 
 def jmap4(S, bk):
     """The j-map on a lower-index array of any rank: conjugate the
     components and contract every slot with P.  Applied twice it gives
     (-1)^rank times the input, since P P = -1."""
-    P = pmat(bk)
     out = conj_arr(S, bk)
     for axis in range(S.ndim):
-        out = slot_contract(out, axis, P)
+        out = p_contract(out, axis, bk)
     return out
 
 
 def is_totally_symmetric(S, bk):
-    for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
-        if not all_zero(S - np.transpose(S, perm), bk, scale=frob(S, bk)):
-            return False
-    return True
+    scale = frob(S, bk)
+    return all(all_zero(S - np.transpose(S, perm), bk, scale=scale)
+               for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))

@@ -1,10 +1,11 @@
 """Orbit recognition predicates, stabilizer, transport, frame reconstruction."""
 
+import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc.tensors import frob, all_zero
-from cubicdisc import sp2, hk, irrep, orbit
+from cubicdisc import sp2, hk, irrep, orbit, scalars
 
 bk = EXACT
 
@@ -112,6 +113,28 @@ def test_predicates_contract_on_integer_arrays(monkeypatch):
     assert orbit.is_cd_coordinates(Kt).verdict
     assert orbit.is_cd_theorem(Kt).verdict
     assert len(calls) < 16000
+
+
+def test_predicates_stay_in_split_form(monkeypatch):
+    # Joining every intermediate into ExactScalar objects and splitting it
+    # again builds 22,112 scalars on this point.  Kept as ExactArrays from
+    # one split of K, both predicates build 341: the ten 4x4 values of
+    # t_k_apply and the 10x10 matrix of T_K are the only joins.
+    K = reference()
+    orbit.is_cd_theorem(K)                      # fill the shared caches
+    Kt = orbit.transport_hk(K, orbit.cayley_sp2(orbit.random_sp2(10, bk), bk))
+    calls = []
+    make = scalars._make
+
+    def counted(*v):
+        calls.append(None)
+        return make(*v)
+
+    monkeypatch.setattr(scalars, "_make", counted)
+    monkeypatch.setattr(scalars, "_join", np.frompyfunc(counted, 5, 1))
+    assert orbit.is_cd_coordinates(Kt).verdict
+    assert orbit.is_cd_theorem(Kt).verdict
+    assert len(calls) < 3000
 
 
 def test_cayley_produces_group_elements():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicdisc.scalars import EXACT, ExactScalar
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc import bianchi, irrep, models, suites
 
 # 10^-400 underflows to 0.0 as a float, so a float norm cannot see it.
@@ -44,6 +44,25 @@ def test_jacobi_fails_on_tiny_residual(monkeypatch, model):
                         lambda self: _inject(real(self)))
     check = _check(suites.run_models(EXACT), "jacobi_" + model)
     assert not check.passed and check.residual == 0.0
+
+
+@pytest.mark.parametrize("size, passed", [(1e-8, False), (1e-10, True)])
+def test_jacobi_and_closure_share_one_rule(monkeypatch, size, passed):
+    # The models' largest coefficient is 3/2.  1e-8 lies between the rule
+    # tol*(3/2)^2 = 2.25e-9 and the former Jacobi threshold tol*100 = 1e-7,
+    # so the two checks used to disagree on it.
+    real = models.CoframeSystem.jacobi_residual
+
+    def tampered(self):
+        out = real(self).copy()
+        out[0, 0] += size
+        return out
+
+    monkeypatch.setattr(models.CoframeSystem, "jacobi_residual", tampered)
+    checks = suites.run_models(FLOAT)
+    for model in ("compact", "split"):
+        verdicts = {_check(checks, p + model).passed for p in ("jacobi_", "closure_")}
+        assert verdicts == {passed}
 
 
 def test_solution_structure_fails_on_tiny_residual(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicdisc import hk, irrep, jsonio, sp2, tensors
-from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
+from cubicdisc.scalars import EXACT, FLOAT, ExactArray, ExactScalar
 from cubicdisc.tensors import (zeros, pmat, eye, g8mat, jmats, frob, all_zero,
                                FLIP, jmap4, sym4, is_totally_symmetric)
 
@@ -198,3 +198,78 @@ def test_tensordot_is_numpy_on_complex128(contraction, seed):
     got = tensors.tensordot(A, B, axes)
     assert got.dtype == np.complex128
     assert np.array_equal(got, np.tensordot(A, B, axes))
+
+
+# -- ExactArray against element-wise object arrays ---------------------------
+
+
+def _normal(A):
+    """The join of A, checked entry by entry: normal form, shared zero."""
+    A = tensors.asarray(A, EXACT)
+    assert A.dtype == object
+    for x in A.flat:
+        a, b, c, d, q = x.ints()
+        assert q > 0 and math.gcd(a, b, c, d, q) == 1
+        assert x or x is EXACT.zero
+    return A
+
+
+def _frob_reference(A):
+    return math.sqrt(sum(abs(x.to_complex()) ** 2 for x in A.flat))
+
+
+shapes = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_array_matches_elementwise_oracle(data):
+    shape = data.draw(shapes)
+    A, B = data.draw(exact_operand(shape)), data.draw(exact_operand(shape))
+    C = data.draw(exact_operand(data.draw(shapes)))
+    s = data.draw(entries)
+    X, Y = ExactArray.of(A), ExactArray.of(B)
+    perm = data.draw(st.permutations(range(len(shape))))
+    src, dst = (data.draw(st.integers(0, max(len(shape) - 1, 0))) for _ in "sd")
+    cases = [(X + Y, A + B), (X - Y, A - B), (X * s, A * s), (s * X, s * A),
+             (-X, -A), (np.conj(X), tensors.asarray([x.conj() for x in A.flat],
+                                                    EXACT).reshape(shape)),
+             (np.transpose(X, perm), np.transpose(A, perm)),
+             (np.multiply.outer(X, C), np.multiply.outer(A, C))]
+    if shape:
+        cases.append((np.moveaxis(X, src, dst), np.moveaxis(A, src, dst)))
+    for got, want in cases:
+        want = tensors.asarray(want, EXACT)     # 0-d object ops give scalars
+        assert isinstance(got, ExactArray)
+        assert (_normal(got) == want).all()
+        assert got.any() == any(want.flat)
+        assert got.frob() == frob(got, EXACT) == _frob_reference(want)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_array_tensordot_matches_elementwise_oracle(data):
+    shape_a, shape_b, axes = data.draw(contractions())
+    A = data.draw(exact_operand(shape_a))
+    B = data.draw(exact_operand(shape_b))
+    got = ExactArray.of(A).tensordot(ExactArray.of(B), axes)
+    assert isinstance(got, ExactArray)
+    want = np.tensordot(A, B, axes)
+    assert (_normal(got) == want).all()
+    assert tensors.all_zero(got, EXACT) == (not any(np.ravel(want)))
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_p_contract_is_the_contraction_with_pmat(rank, backend):
+    rng = random.Random(rank)
+    T = zeros((4,) * rank, backend)
+    for idx in itertools.product(range(4), repeat=rank):
+        T[idx] = backend.scalar(*("%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(4)))
+    P = pmat(backend)
+    for axis in range(rank):
+        want = np.moveaxis(np.tensordot(T, P, axes=([axis], [0])), -1, axis)
+        for arr in (T, tensors.split(T, backend)):
+            got = tensors.asarray(tensors.p_contract(arr, axis, backend), backend)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
