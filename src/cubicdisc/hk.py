@@ -82,26 +82,20 @@ class HKTensor:
     __eq__ = SymQuartic.__eq__
 
     def full8(self):
-        """Dense components on V^C: indices 0..3 unbarred, 4..7 barred."""
+        """Dense components on V^C: indices 0..3 unbarred (u), 4..7 barred (b).
+        The half written from Kmix is kept: f[u,b,u,b] = K, its pair
+        antisymmetries give the [b,u,u,b], [u,b,b,u] and [b,u,b,u] blocks,
+        and the other 12 blocks are zero.  The conjugate half (conj K on the
+        flipped blocks) names the same entries and is not written."""
         if self._full8 is not None:
             return self._full8
-        bk = self.bk
-        f = zeros((8, 8, 8, 8), bk)
-        K = self.Kmix.tolist()
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    for d in range(4):
-                        v = K[a][b][c][d]
-                        if not v:
-                            continue
-                        w = bk.conj(v)
-                        for (i1, i2, s1) in ((a, b + 4, 1), (b + 4, a, -1)):
-                            for (i3, i4, s2) in ((c, d + 4, 1), (d + 4, c, -1)):
-                                s = s1 * s2
-                                f[i1, i2, i3, i4] = v if s > 0 else -v
-                                j1, j2, j3, j4 = FLIP[i1], FLIP[i2], FLIP[i3], FLIP[i4]
-                                f[j1, j2, j3, j4] = w if s > 0 else -w
+        K = self.Kmix
+        u, b = slice(0, 4), slice(4, 8)
+        f = zeros((8, 8, 8, 8), self.bk)
+        f[u, b, u, b] = K
+        f[b, u, u, b] = -np.transpose(K, (1, 0, 2, 3))
+        f[u, b, b, u] = -np.transpose(K, (0, 1, 3, 2))
+        f[b, u, b, u] = np.transpose(K, (1, 0, 3, 2))
         f.flags.writeable = False
         self._full8 = f
         return f

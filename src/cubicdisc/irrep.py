@@ -12,7 +12,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, frob,
-                      all_zero, tensordot, jmap4, frozen, omega_forms)
+                      all_zero, tensordot, matmul, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
 from .hk import SymQuartic
@@ -299,8 +299,8 @@ def eps_wedge_residual(frames, bk):
 
 def closes_as_sp1(gens, bk, scale):
     """[G_1, G_2] = G_3 and cyclic, for a triple of square matrices."""
-    return all(all_zero(gens[i] @ gens[j] - gens[j] @ gens[i] - gens[k], bk,
-                        scale=scale)
+    return all(all_zero(matmul(gens[i], gens[j]) - matmul(gens[j], gens[i])
+                        - gens[k], bk, scale=scale)
                for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 
 
@@ -326,17 +326,18 @@ class So4Module:
                 raise ValueError("second factor generators do not close as sp(1)")
         for E in self.e_gens:
             for H in self.h_gens:
-                if not all_zero(E @ H - H @ E, bk, scale=scale + hscale):
+                if not all_zero(matmul(E, H) - matmul(H, E), bk,
+                                scale=scale + hscale):
                     raise ValueError("the two sp(1) factors do not commute")
 
     def casimirs(self):
         bk = self.bk
         CE = zeros((self.dim, self.dim), bk)
         for E in self.e_gens:
-            CE = CE + E @ E
+            CE = CE + matmul(E, E)
         CH = zeros((self.dim, self.dim), bk)
         for H in self.h_gens:
-            CH = CH + H @ H
+            CH = CH + matmul(H, H)
         return CE, CH
 
 
@@ -359,8 +360,10 @@ def casimir_decompose(module, kmax, lmax):
 
     def shifted(C, m):
         c = casimir_eigenvalue(m, bk)
-        return [[C[i, j] - (c if i == j else bk.zero) for j in range(n)]
-                for i in range(n)]
+        rows = C.tolist()
+        for i in range(n):
+            rows[i][i] = rows[i][i] - c
+        return rows
 
     CE, CH = module.casimirs()
     ks = [k for k in range(kmax + 1) if linalg.rank(shifted(CE, k), bk) < n]
@@ -421,7 +424,7 @@ def module_56(bk=EXACT):
     B = asarray(upsilon_perp_basis(bk), bk).T
     # Restrict ad(Upsilon_s) to the complement: solve B * M_s = ad_s * B,
     # for the three s at once.
-    M = linalg.solve(B, np.hstack([A @ B for A in ad_upsilon_matrices(bk)]), bk)
+    M = linalg.solve(B, np.hstack([matmul(A, B) for A in ad_upsilon_matrices(bk)]), bk)
     restricted = [M[:, 7 * s:7 * s + 7] for s in range(3)]
     Ev = script_e_frames(bk)
     J = jmats(bk)

@@ -146,14 +146,12 @@ def run_irrep(bk, seed=0):
             if s == t:
                 pair[s, t] = pair[s, t] - bk.rational(5)
     out.append(_res_check("frame_pairing", pair, bk))
-    sq = zeros((8, 8), bk)
-    for Fs in F:
-        sq = sq + Fs @ Fs
-    out.append(_res_check("frame_casimir",
-                          sq + eye(8, bk) * bk.rational(15, 4), bk, scale=10.0))
+    module = irrep.module_v(bk)    # its first generator triple is F
+    out.append(_res_check("frame_casimir", module.casimirs()[0]
+                          + eye(8, bk) * bk.rational(15, 4), bk, scale=10.0))
     w = irrep.eps_wedge_residual(F, bk)
     out.append(_res_check("frame_wedge_normalization", w, bk, scale=10.0))
-    table = irrep.casimir_decompose(irrep.module_v(bk), kmax=4, lmax=2)
+    table = irrep.casimir_decompose(module, kmax=4, lmax=2)
     out.append(CheckResult("module_v_decomposition", table == {(3, 1): 1},
                            info=str(sorted(table.items()))))
     return out

@@ -13,7 +13,8 @@ object arrays of ExactScalar on exact, complex128 on float.  On complex128
 the conjugate, the norms and `tensordot` are numpy's own.  On exact, `split`
 gives a `scalars.ExactArray`: the contractions, `sym4`, `jmap4` and
 `conj_arr` keep it, `frob` and `all_zero` read it, and `asarray` joins it
-back into objects for callers that index, `@` or store.
+back into objects for callers that index, `@` or store.  `matmul`, the
+matrix product of the Casimir path, multiplies only nonzero pairs on exact.
 """
 
 from functools import lru_cache
@@ -73,6 +74,34 @@ def tensordot(A, B, axes=2):
         return np.tensordot(A, B, axes)
     out = ExactArray.of(A).tensordot(B, axes)
     return out if ExactArray in (type(A), type(B)) else asarray(out, EXACT)
+
+
+def matmul(A, B):
+    """A @ B for two matrices.  On exact, row by row over the nonzeros only
+    (Gustavson 1978): each row of B is read once as its (column, value)
+    pairs, and A[i, k] * B[k, j] is formed only for nonzero A[i, k] and
+    B[k, j].  Entries come out in normal form, every zero the shared zero.
+
+    >>> from cubicdisc.scalars import EXACT as bk
+    >>> A = asarray([[bk.i, bk.sqrt3], [bk.zero, bk.i]], bk)
+    >>> C = matmul(A, A)
+    >>> [[x.ints() for x in row] for row in C]
+    [[(-1, 0, 0, 0, 1), (0, 0, 0, 2, 1)], [(0, 0, 0, 0, 1), (-1, 0, 0, 0, 1)]]
+    >>> C[1, 0] is bk.zero
+    True
+    """
+    if A.dtype != object:
+        return A @ B
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
+    out = zeros((A.shape[0], B.shape[1]), EXACT)
+    for i, row in enumerate(A.tolist()):
+        acc = [EXACT.zero] * B.shape[1]
+        for a, nonzeros in zip(row, rows):
+            if a:
+                for j, b in nonzeros:
+                    acc[j] = acc[j] + a * b
+        out[i] = acc
+    return out
 
 
 def slot_contract(T, axis, M):

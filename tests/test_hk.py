@@ -130,6 +130,44 @@ def _hk_samples():
     return [K, orbit.transport_hk(K, M), hk.kappa(orbit.random_quartic(43, bk))]
 
 
+def _full8_by_entries(K):
+    """The 8^4 tensor written entry by entry from Kmix and again from the
+    conjugate of each flipped partner, the last write kept: the reference
+    that the block construction of HKTensor.full8 must match on exact."""
+    bk = K.bk
+    f = zeros((8, 8, 8, 8), bk)
+    Km = K.Kmix
+    for a, b, c, d in np.ndindex(4, 4, 4, 4):
+        v = Km[a, b, c, d]
+        if not v:
+            continue
+        for (i1, i2, s1) in ((a, b + 4, 1), (b + 4, a, -1)):
+            for (i3, i4, s2) in ((c, d + 4, 1), (d + 4, c, -1)):
+                w = v if s1 * s2 > 0 else -v
+                f[i1, i2, i3, i4] = w
+                f[FLIP[i1], FLIP[i2], FLIP[i3], FLIP[i4]] = bk.conj(w)
+    return f
+
+
+def test_exact_full8_matches_the_entry_loop():
+    for K in _hk_samples()[:2]:
+        assert (K.full8() == _full8_by_entries(K)).all()
+
+
+def test_float_full8_is_the_four_block_construction():
+    K = hk.kappa(irrep.s_hat(FLOAT))
+    M = orbit.cayley_sp2(orbit.random_sp2(41, FLOAT), FLOAT)
+    for L in (K, orbit.transport_hk(K, M)):
+        Km = L.Kmix
+        want = np.zeros((8, 8, 8, 8), dtype=np.complex128)
+        want[:4, 4:, :4, 4:] = Km
+        want[4:, :4, :4, 4:] = -Km.transpose(1, 0, 2, 3)
+        want[:4, 4:, 4:, :4] = -Km.transpose(0, 1, 3, 2)
+        want[4:, :4, 4:, :4] = Km.transpose(1, 0, 3, 2)
+        got = L.full8()
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+
 def test_sp1_annihilates_hk_type():
     # orbit_dimension drops the three J_s generators because of this.
     for K in _hk_samples():

@@ -165,6 +165,23 @@ def test_casimir_module_sp2(monkeypatch):
     assert dims == {(2, 0): 3, (6, 0): 7}
 
 
+def test_casimir_path_products_stay_sparse(monkeypatch):
+    # The closure checks and the Casimirs multiply only nonzero pairs
+    # (tensors.matmul); dense object products made 48,626 here.
+    modules = [(irrep.module_v(bk), 4, 2), (irrep.module_sp2(bk), 7, 1)]
+    calls = []
+    mul = ExactScalar.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactScalar, "__mul__", counted)
+    for module, kmax, lmax in modules:
+        irrep.casimir_decompose(module, kmax=kmax, lmax=lmax)
+    assert len(calls) < 10_000
+
+
 def test_closure_checks_an_underflowing_second_factor():
     # Every entry of H is 10^-400: a float norm reads 0, yet the triple does
     # not close as sp(1) ([H, H] = 0 != H), so the check must fail on exact.

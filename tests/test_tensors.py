@@ -259,6 +259,43 @@ def test_exact_array_tensordot_matches_elementwise_oracle(data):
     assert tensors.all_zero(got, EXACT) == (not any(np.ravel(want)))
 
 
+# -- the matrix-product kernel against numpy's object @ ----------------------
+
+
+@st.composite
+def matmul_operand(draw, shape):
+    """exact_operand, or a zero matrix with one or two nonzero entries."""
+    if draw(st.booleans()):
+        return draw(exact_operand(shape))
+    A = zeros(shape, EXACT)
+    for _ in range(draw(st.integers(1, 2))):
+        A[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(entries)
+    return A
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_object_matmul(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in "nkm")
+    A = data.draw(matmul_operand((n, k)))
+    B = data.draw(matmul_operand((k, m)))
+    got = tensors.matmul(A, B)
+    assert got.dtype == object and got.shape == (n, m)
+    assert (_normal(got) == A @ B).all()
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_matmul_is_numpy_on_complex128(n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    B = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    got = tensors.matmul(A, B)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == (A @ B).tobytes()
+
+
 @pytest.mark.parametrize("rank", [4, 6])
 @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
 def test_p_contract_is_the_contraction_with_pmat(rank, backend):
