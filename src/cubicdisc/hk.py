@@ -15,7 +15,7 @@ import numpy as np
 from .scalars import EXACT
 from .tensors import (zeros, asarray, split, frob, all_zero, slot_contract,
                       p_contract, tensordot, jmap4, is_totally_symmetric, FLIP,
-                      g8mat, jmats, omega_forms, q_tensor, frozen)
+                      g8mat, jmats, omega_forms, q_tensor, frozen, eye)
 from . import sp2
 from . import linalg
 
@@ -132,10 +132,7 @@ def t_k(K):
 
 def t_k_matrix_from_quartic(S, bk):
     """Alternative coordinate form: the value matrix of T_K($_{ab}) is S[a,b,:,:]."""
-    M = zeros((10, 10), bk)
-    for k, (a, b) in enumerate(sp2.PAIRS):
-        M[:, k] = sp2.dollar_coords(S[a, b], bk)
-    return M
+    return sp2.dollar_coords(np.stack([S[a, b] for a, b in sp2.PAIRS], axis=-1), bk)
 
 
 def t_k_from_orthonormal_sum(K, X):
@@ -156,11 +153,8 @@ def t_k_from_orthonormal_sum(K, X):
 
 def eigen_multiplicity(T, lam, bk):
     """Multiplicity of the eigenvalue lam of a 10x10 matrix, via nullspace rank."""
-    n = T.shape[0]
-    M = T.copy()
-    for k in range(n):
-        M[k, k] = M[k, k] - lam
-    return n - linalg.rank([linalg.real_flat(row, bk) for row in M], bk)
+    M = T - eye(T.shape[0], bk) * lam
+    return T.shape[0] - linalg.rank([linalg.real_flat(row, bk) for row in M], bk)
 
 
 def dagger_residual(L, bk):
@@ -177,11 +171,10 @@ def hk_from_endo(L, bk=EXACT):
             % frob(res, bk))
     if not sp2.endo_is_real(L, bk):
         raise ValueError("endomorphism does not preserve the real form of sp(2)")
+    X = sp2.from_dollar_coords(L, bk)        # X[:, :, k] = L($_k)
     S = zeros((4, 4, 4, 4), bk)
-    for (a, b) in sp2.PAIRS:
-        M = sp2.apply_endo(L, sp2.dollar_matrix(a, b, bk), bk)
-        S[:, :, a, b] = M
-        S[:, :, b, a] = M
+    for k, (a, b) in enumerate(sp2.PAIRS):
+        S[:, :, a, b] = S[:, :, b, a] = X[:, :, k]
     quart = SymQuartic(S, bk)  # validates symmetry and j-reality
     K = kappa(quart)
     return K

@@ -186,23 +186,13 @@ def upsilon_lemma_residuals(bk=EXACT):
 
 def orth_projection(span, bk):
     """10x10 matrix (dollar basis) of the orthogonal projection onto a span
-    of sp(2) elements, with respect to the invariant inner product."""
-    n = len(span)
-    G = zeros((n, n), bk)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = sp2.inner(span[i], span[j], bk)
-    Ginv = linalg.inverse(G, bk)
-
-    def proj(X):
-        v = asarray([sp2.inner(B, X, bk) for B in span], bk)
-        w = Ginv @ v
-        out = zeros((4, 4), bk)
-        for k in range(n):
-            out = out + span[k] * w[k]
-        return out
-
-    return sp2.endo_matrix(proj, bk)
+    of sp(2) elements, with respect to the invariant inner product:
+    C (BC)^-1 B, where the columns of C are the dollar coordinates of the
+    span and B[m, j] = <span_m, $_j>, so that BC is the Gram matrix."""
+    C = sp2.dollar_coords(np.stack(span, axis=-1), bk)
+    B = asarray([[sp2.inner(X, D, bk) for D in sp2.dollar_basis(bk)]
+                 for X in span], bk)
+    return matmul(matmul(C, linalg.inverse(matmul(B, C), bk)), B)
 
 
 def proj_sp1ir(bk=EXACT):
@@ -397,8 +387,7 @@ def module_v(bk=EXACT):
 @lru_cache(maxsize=None)
 def ad_upsilon_matrices(bk=EXACT):
     """ad(Upsilon_s) acting on sp(2) in the dollar basis (10x10)."""
-    return frozen([sp2.endo_matrix(lambda X, U=U: sp2.bracket(U, X, bk), bk)
-                   for U in upsilons(bk)])
+    return frozen([sp2.ad(U, bk) for U in upsilons(bk)])
 
 
 def module_sp2(bk=EXACT):
@@ -411,11 +400,8 @@ def module_sp2(bk=EXACT):
 def upsilon_perp_basis(bk=EXACT):
     """Basis (dollar coordinates) of the orthogonal complement of the
     Upsilon span inside sp(2) (x) C; 7-dimensional."""
-    rows = []
-    D = sp2.dollar_basis(bk)
-    for U in upsilons(bk):
-        rows.append([sp2.inner(U, Dk, bk) for Dk in D])
-    return linalg.nullspace(rows, bk)
+    return linalg.nullspace([[sp2.inner(U, D, bk) for D in sp2.dollar_basis(bk)]
+                             for U in upsilons(bk)], bk)
 
 
 def module_56(bk=EXACT):

@@ -16,7 +16,7 @@ import json
 from .scalars import EXACT, ExactScalar
 from .tensors import zeros
 from .hk import SymQuartic, HKTensor
-from .models import CoframeSystem, LABELS, N_FORMS
+from .models import CoframeSystem, LABELS, N_FORMS, _form_add
 
 
 def scalar_to_json(x, bk):
@@ -44,11 +44,11 @@ def scalar_from_json(d, bk, where="value"):
     return bk.from_complex(z)
 
 
-def _components(data):
-    comps = data.get("components")
-    if not isinstance(comps, dict):
-        raise ValueError("\"components\" must be an object mapping keys to scalars")
-    return comps.items()
+def _object(data, key, what):
+    value = data.get(key)
+    if not isinstance(value, dict):
+        raise ValueError("\"%s\" must be an object mapping %s" % (key, what))
+    return value.items()
 
 
 def quartic_to_json(q):
@@ -75,7 +75,7 @@ def _index(key):
 def quartic_from_json(data, bk=EXACT):
     S = zeros((4, 4, 4, 4), bk)
     seen = {}
-    for key, val in _components(data):
+    for key, val in _object(data, "components", "keys to scalars"):
         idx = _index(key)
         v = scalar_from_json(val, bk, "component %r" % (key,))
         first = seen.setdefault(tuple(sorted(idx)), (key, v))
@@ -103,7 +103,7 @@ def hk_to_json(K):
 
 def hk_from_json(data, bk=EXACT):
     Kmix = zeros((4, 4, 4, 4), bk)
-    for key, val in _components(data):
+    for key, val in _object(data, "components", "keys to scalars"):
         Kmix[_index(key)] = scalar_from_json(val, bk, "component %r" % (key,))
     K = HKTensor(Kmix, bk)
     K.validate()
@@ -124,14 +124,24 @@ def coframe_to_json(cs):
 
 
 def coframe_from_json(data, bk=EXACT):
-    index = {name: k for k, name in enumerate(data["labels"])}
+    """The labels must be models.LABELS, and d map labels to lists of rows
+    [label, label, scalar] of two distinct labels.  A row (j, i) is stored
+    as the sorted (i, j) negated; rows on one pair add up."""
+    if data.get("labels") != LABELS:
+        raise ValueError("\"labels\" must be %r" % (LABELS,))
+    index = {name: k for k, name in enumerate(LABELS)}
     d = {}
-    for name, rows in data["d"].items():
-        form = {}
-        for (l1, l2, val) in rows:
-            form[(index[l1], index[l2])] = scalar_from_json(
-                val, bk, "d[%r] entry (%r, %r)" % (name, l1, l2))
-        d[index[name]] = form
+    for name, rows in _object(data, "d", "labels to lists of rows"):
+        if name not in index or not isinstance(rows, list):
+            raise ValueError("d[%r] is not a list of rows of a known form" % (name,))
+        form = d[index[name]] = {}
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3 and row[0] != row[1]
+                    and all(isinstance(x, str) and x in index for x in row[:2])):
+                raise ValueError("d[%r] row %r is not [label, label, scalar] "
+                                 "with two distinct labels" % (name, row))
+            _form_add(form, (index[row[0]], index[row[1]]), scalar_from_json(
+                row[2], bk, "d[%r] entry (%r, %r)" % (name, row[0], row[1])), bk)
     h = None if data.get("h") is None else scalar_from_json(data["h"], bk, "h")
     return CoframeSystem(d, bk, h=h)
 

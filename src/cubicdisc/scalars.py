@@ -474,6 +474,9 @@ class FloatBackend:
     dtype = np.complex128
 
     def __init__(self, tol=1e-9):
+        if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+            raise ValueError("tol must be a finite number greater than 0, got %r"
+                             % (tol,))
         self.tol = tol
         self.zero = complex(0.0)
         self.one = complex(1.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4,
-                      frozen, PROWS, psigns)
+                      frozen, tensordot, PROWS, psigns)
 from . import linalg
 
 PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
@@ -60,10 +60,8 @@ def inner(X, Y, bk=EXACT):
 def endo_on_v(X, bk=EXACT):
     """The 8x8 matrix of an sp(2) element acting on V^C = W (+) Wbar."""
     A = to_endo(X, bk)
-    Ab = conj_arr(A, bk)
     M = zeros((8, 8), bk)
-    M[:4, :4] = A
-    M[4:, 4:] = Ab
+    M[:4, :4], M[4:, 4:] = A, conj_arr(A, bk)
     return M
 
 
@@ -73,12 +71,7 @@ def sharp_basis(bk=EXACT):
     out = []
     for (a, b) in PAIRS:
         M = zeros((4, 4), bk)
-        if a == b:
-            M[a, a] = bk.one
-        else:
-            h = bk.rational(1, 2)
-            M[a, b] = h
-            M[b, a] = h
+        M[a, b] = M[b, a] = bk.one if a == b else bk.rational(1, 2)
         out.append(M)
     return frozen(out)
 
@@ -93,7 +86,8 @@ def dollar_matrix(a, b, bk=EXACT):
 
 @lru_cache(maxsize=None)
 def dollar_basis(bk=EXACT):
-    return frozen([dollar_matrix(a, b, bk) for (a, b) in PAIRS])
+    """The ten dollar matrices, stacked along the first axis in PAIRS order."""
+    return frozen([np.stack([dollar_matrix(a, b, bk) for (a, b) in PAIRS])])[0]
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +115,9 @@ def dollar_coords(X, bk=EXACT):
 
 
 def from_dollar_coords(v, bk=EXACT):
-    D = dollar_basis(bk)
-    X = zeros((4, 4), bk)
-    for k in range(10):
-        X = X + D[k] * v[k]
-    return X
+    """Inverse of dollar_coords: sum_k v[k] $_k.  Further axes of v follow
+    the two matrix slots in the result."""
+    return tensordot(dollar_basis(bk), v, ([0], [0]))
 
 
 def endo_matrix(fun, bk=EXACT):
@@ -136,28 +128,35 @@ def endo_matrix(fun, bk=EXACT):
 @lru_cache(maxsize=None)
 def structure_constants(bk=EXACT):
     """c[k, i, j] with [D_i, D_j] = sum_k c[k, i, j] D_k in the dollar basis."""
-    D = dollar_basis(bk)
-    c = np.stack([endo_matrix(lambda X, A=A: bracket(A, X, bk), bk) for A in D],
-                 axis=1)
-    c.flags.writeable = False
-    return c
+    return frozen([np.stack([endo_matrix(lambda X, A=A: bracket(A, X, bk), bk)
+                             for A in dollar_basis(bk)], axis=1)])[0]
 
 
-def apply_endo(M, X, bk=EXACT):
-    return from_dollar_coords(M @ dollar_coords(X, bk), bk)
+def ad(X, bk=EXACT):
+    """The 10x10 matrix of [X, .] in the dollar basis: sum_i c[k, i, j] x_i,
+    x = dollar_coords(X).  Further axes of X follow k, j in the result."""
+    return tensordot(structure_constants(bk), dollar_coords(X, bk), ([1], [0]))
+
+
+@lru_cache(maxsize=None)
+def _dagger_kernel(bk):
+    """Delta[k, a, b, j] = sum_s ad(E*_s)[k, a] ad(E_s)[b, j] over the
+    sharp/dual pairs, so that dagger(L) = Delta contracted with L on (a, b)."""
+    ad_dual, ad_sharp = (ad(np.stack(E, axis=-1), bk)
+                         for E in (sharp_dual_basis(bk), sharp_basis(bk)))
+    return frozen([tensordot(ad_dual, ad_sharp, ([2], [2]))])[0]
 
 
 def dagger(L, bk=EXACT):
     """(dagger L) X = sum_s [E*_s, L([E_s, X])] over the sharp/dual pairs,
-    for a 10x10 matrix L in the dollar basis; the result is one too."""
-    def dag(X):
-        total = zeros((4, 4), bk)
-        for Es, Eds in zip(sharp_basis(bk), sharp_dual_basis(bk)):
-            LX = apply_endo(L, bracket(Es, X, bk), bk)
-            total = total + bracket(Eds, LX, bk)
-        return total
+    for a 10x10 matrix L in the dollar basis; the result is one too, the
+    matrix sum_s ad(E*_s) L ad(E_s).
 
-    return endo_matrix(dag, bk)
+    >>> from cubicdisc.tensors import eye
+    >>> bool((dagger(eye(10, EXACT)) == eye(10, EXACT) * EXACT.rational(-6)).all())
+    True
+    """
+    return tensordot(_dagger_kernel(bk), L, ([1, 2], [0, 1]))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +180,7 @@ def real_basis(bk=EXACT):
 def endo_is_real(M, bk=EXACT):
     """Check that a 10x10 endomorphism maps the real form into itself."""
     for B in real_basis(bk):
-        Y = apply_endo(M, B, bk)
+        Y = from_dollar_coords(M @ dollar_coords(B, bk), bk)
         if not all_zero(Y - jmap4(Y, bk), bk, scale=frob(Y, bk) + 1.0):
             return False
     return True

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubicdisc.scalars import EXACT, ExactScalar
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
 from cubicdisc.tensors import zeros, eye, frob, all_zero
 from cubicdisc import sp2, irrep, hk, linalg
 
@@ -102,6 +102,43 @@ def test_projection_identities():
                     scale=10.0)
     assert all_zero(dagP @ dagP * bk.rational(25) + dagP * bk.rational(70)
                     + I * bk.rational(24), bk, scale=100.0)
+
+
+def _projection_by_gram(span, bk):
+    """The projection X -> sum_k span_k (G^-1 v)_k, v_m = <span_m, X>, with
+    G the Gram matrix, applied to each dollar matrix."""
+    n = len(span)
+    G = zeros((n, n), bk)
+    for i in range(n):
+        for j in range(n):
+            G[i, j] = sp2.inner(span[i], span[j], bk)
+    Ginv = linalg.inverse(G, bk)
+
+    def proj(X):
+        w = Ginv @ np.array([sp2.inner(B, X, bk) for B in span], dtype=bk.dtype)
+        out = zeros((4, 4), bk)
+        for k in range(n):
+            out = out + span[k] * w[k]
+        return out
+
+    return sp2.endo_matrix(proj, bk)
+
+
+SPANS = {
+    "upsilons": lambda bk: list(irrep.upsilons(bk)),
+    "reducible": lambda bk: [sp2.from_endo(R, bk) for R in irrep.reducible_rep(bk)],
+    "trivial_factor":
+        lambda bk: [sp2.from_endo(R, bk) for R in irrep.trivial_factor_rep(bk)],
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("name", sorted(SPANS))
+def test_orth_projection_matches_gram_closure(backend, name):
+    span = SPANS[name](backend)
+    ref = _projection_by_gram(span, backend)
+    assert all_zero(irrep.orth_projection(span, backend) - ref, backend,
+                    scale=frob(ref, backend))
 
 
 def test_reducible_case_identities():

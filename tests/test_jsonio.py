@@ -133,3 +133,36 @@ def test_loaders_raise_only_value_error_on_random_keys(kind, keys, values,
     except ValueError as exc:
         if "not a scalar" in str(exc):
             assert any("component %r" % (k,) in str(exc) for k in comps)
+
+
+def _coframe(**fields):
+    data = {"kind": "coframe", "labels": list(models.LABELS), "d": {}}
+    data.update(fields)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("payload, names", [
+    (_coframe(labels=None), "labels"),
+    (_coframe(labels=list(models.LABELS[:-1]) + ["th5b"]), "labels"),
+    (_coframe(d=[]), '"d"'),
+    (_coframe(d={"th5": []}), "'th5'"),
+    (_coframe(d={"psi1": {}}), "'psi1'"),
+    (_coframe(d={"psi1": ["th1", "th2", ONE]}), "'psi1'.*'th1'"),
+    (_coframe(d={"psi1": [["th1", "th2"]]}), r"'psi1'.*\['th1', 'th2'\]"),
+    (_coframe(d={"psi1": [["th1", "th9", ONE]]}), "'psi1'.*'th9'"),
+    (_coframe(d={"psi1": [[["th1"], "th2", ONE]]}), r"'psi1'.*\['th1'\]"),
+    (_coframe(d={"phi1": [["th1", "th1", ONE]]}), "'phi1'.*'th1', 'th1'"),
+    (_coframe(d={"psi1": [["th1", "th2", 1]]}), "'psi1'.*'th1', 'th2'"),
+], ids=["no_labels", "unknown_label", "d_list", "unknown_form", "rows_object",
+        "rows_flat", "short_row", "row_unknown_label", "row_label_list",
+        "repeated_label", "bad_scalar"])
+def test_malformed_coframe_names_the_component(payload, names):
+    with pytest.raises(ValueError, match=names):
+        jsonio.loads(payload, bk)
+
+
+def test_reversed_coframe_row_loads_as_sorted_row_negated():
+    two = {"a": "2", "b": "0", "c": "0", "d": "0"}
+    cs = jsonio.loads(_coframe(d={"psi1": [["th2", "th1", two]]}), bk)
+    assert cs.d[0] == {(models.TH0, models.TH0 + 1): bk.rational(-2)}
+    assert jsonio.loads(jsonio.dumps(cs), bk).d[0] == cs.d[0]

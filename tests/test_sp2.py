@@ -1,12 +1,15 @@
 """The Lie algebra sp(2): models, basis duality, bracket, dagger."""
 
+import random
+
 import pytest
 
-from cubicdisc.scalars import EXACT
-from cubicdisc.tensors import zeros, eye, pmat, frob, all_zero
-from cubicdisc import sp2
+from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.tensors import zeros, eye, pmat, frob, all_zero, asarray
+from cubicdisc import sp2, irrep, hk, orbit
 
 bk = EXACT
+BACKENDS = pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
 
 
 def test_pairs_enumeration():
@@ -101,3 +104,54 @@ def test_structure_constants_reproduce_bracket():
         for j in range(10):
             expect = sp2.bracket(D[i], D[j], bk)
             assert all_zero(sp2.from_dollar_coords(c[:, i, j], bk) - expect, bk)
+
+
+# -- the matrix routes against the closures they replaced -------------------
+
+
+def _dagger_by_definition(L, bk):
+    """(dagger L) X = sum_s [E*_s, L([E_s, X])], each bracket on 4x4 matrices."""
+    def apply(X):
+        return sp2.from_dollar_coords(L @ sp2.dollar_coords(X, bk), bk)
+
+    def dag(X):
+        total = zeros((4, 4), bk)
+        for Es, Eds in zip(sp2.sharp_basis(bk), sp2.sharp_dual_basis(bk)):
+            total = total + sp2.bracket(Eds, apply(sp2.bracket(Es, X, bk)), bk)
+        return total
+
+    return sp2.endo_matrix(dag, bk)
+
+
+def _random_endo(seed, bk):
+    """A 10x10 matrix with entries a + b i + c sqrt3 + d i sqrt3, a..d in [-2, 2]."""
+    rng = random.Random(seed)
+    return asarray([[bk.scalar(*(rng.randint(-2, 2) for _ in range(4)))
+                     for _ in range(10)] for _ in range(10)], bk)
+
+
+DAGGER_INPUTS = {
+    "identity": lambda bk: eye(10, bk),
+    "proj_sp1ir": irrep.proj_sp1ir,
+    "reducible": lambda bk: irrep.projection_from_rep(irrep.reducible_rep(bk), bk),
+    "trivial_factor":
+        lambda bk: irrep.projection_from_rep(irrep.trivial_factor_rep(bk), bk),
+    "t_k_random": lambda bk: hk.t_k(hk.kappa(orbit.random_quartic(7, bk))),
+    "random_endo": lambda bk: _random_endo(11, bk),
+}
+
+
+@BACKENDS
+@pytest.mark.parametrize("name", sorted(DAGGER_INPUTS))
+def test_dagger_matches_defining_sum(bk, name):
+    L = DAGGER_INPUTS[name](bk)
+    ref = _dagger_by_definition(L, bk)
+    # exact: equality in the field; float: within tol at the scale of ref
+    assert all_zero(sp2.dagger(L, bk) - ref, bk, scale=frob(ref, bk))
+
+
+@BACKENDS
+def test_ad_matches_bracket_closure(bk):
+    for X in list(sp2.real_basis(bk)) + list(irrep.upsilons(bk)):
+        ref = sp2.endo_matrix(lambda Y: sp2.bracket(X, Y, bk), bk)
+        assert all_zero(sp2.ad(X, bk) - ref, bk, scale=frob(ref, bk))

@@ -1,12 +1,13 @@
 """Exact check verdicts are decided in the field, not through float norms."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
+from cubicdisc.scalars import EXACT, FLOAT, ExactScalar, FloatBackend
 from cubicdisc import bianchi, irrep, models, suites
 
 # 10^-400 underflows to 0.0 as a float, so a float norm cannot see it.
@@ -95,3 +96,11 @@ def test_float_report_matches_golden_names_and_verdicts():
     checks = suites.run_suite("all", "float", seed=0)
     assert [(c.name, c.passed) for c in checks] == [(c["name"], c["passed"])
                                                      for c in golden]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tolerance_is_an_error_not_a_failed_report(tol):
+    with pytest.raises(ValueError, match="finite number greater than 0"):
+        FloatBackend(tol)
+    with pytest.raises(ValueError, match="finite number greater than 0"):
+        suites.run_suite("preliminaries", "float", tol=tol)
