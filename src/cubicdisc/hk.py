@@ -13,9 +13,9 @@ from functools import cached_property
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, split, frob, all_zero, slot_contract,
-                      p_contract, tensordot, jmap4, is_totally_symmetric, FLIP,
-                      g8mat, jmats, omega_forms, q_tensor, frozen, eye)
+from .tensors import (zeros, asarray, split, frob, tol_scale, all_zero, slot_contract,
+                      p_contract, tensordot, jmap4, is_totally_symmetric, FLIP, g8mat,
+                      jmats, omega_forms, q_tensor, frozen, eye)
 from . import sp2
 from . import linalg
 
@@ -37,12 +37,12 @@ class SymQuartic:
         S, bk = self.split, self.bk
         if not is_totally_symmetric(S, bk):
             raise ValueError("quartic is not totally symmetric")
-        if not all_zero(S - jmap4(S, bk), bk, scale=frob(S, bk)):
+        if not all_zero(S - jmap4(S, bk), bk, scale=tol_scale(S, bk)):
             raise ValueError("quartic violates the j-reality condition")
 
     def __eq__(self, other):
         return all_zero(self.split - other.split, self.bk,
-                        scale=frob(self.split, self.bk) + frob(other.split, other.bk))
+                        scale=sum(tol_scale(x.split, x.bk) for x in (self, other)))
 
 
 def _kappa_core(S, bk):
@@ -165,7 +165,7 @@ def dagger_residual(L, bk):
 def hk_from_endo(L, bk=EXACT):
     """Reconstruct K with T_K = L from an endomorphism satisfying dagger L = 2L."""
     res = dagger_residual(L, bk)
-    if not all_zero(res, bk, scale=frob(L, bk) + 1.0):
+    if not all_zero(res, bk, scale=tol_scale(L, bk) + 1.0):
         raise ValueError(
             "dagger L != 2L (residual norm %.3e); no HK tensor corresponds to L"
             % frob(res, bk))

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, frob,
+from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, tol_scale,
                       all_zero, tensordot, matmul, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
@@ -305,10 +305,10 @@ class So4Module:
 
     def check_closure(self):
         bk = self.bk
-        scale = max(frob(self.e_gens[0], bk), 1.0)
+        scale = max(tol_scale(self.e_gens[0], bk), 1.0)
         if not closes_as_sp1(self.e_gens, bk, scale):
             raise ValueError("first factor generators do not close as sp(1)")
-        hscale = max(frob(self.h_gens[0], bk), 1.0)
+        hscale = max(tol_scale(self.h_gens[0], bk), 1.0)
         # A zero second factor (module_sp2) closes trivially; all_zero is the
         # backend's zero test, so an exact factor that underflows is checked.
         if not all(all_zero(H, bk) for H in self.h_gens):

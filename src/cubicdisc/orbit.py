@@ -9,15 +9,16 @@ elements for moving along the orbit, and reconstruction of K from a frame
 triple of endomorphisms.
 """
 
+from functools import lru_cache
 import itertools
 import random
 
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, all_zero,
-                      slot_contract, p_contract, split, tensordot, sym4, jmap4,
-                      q_tensor)
+from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, tol_scale,
+                      all_zero, slot_contract, p_contract, split, tensordot, sym4,
+                      jmap4, q_tensor, frozen, sym_index)
 from . import sp2
 from . import linalg
 from . import irrep
@@ -44,81 +45,80 @@ def is_cd_theorem(K):
     """Operator-level test: (2T - 7)(2T + 3) = 0 and the bracket condition
 
     [T A, T B] - T[T A, B] = (3/2)(T[A, B] - [A, T B])  for all A, B in sp(2).
-
-    The condition is bilinear in (A, B), so it is evaluated once on every
-    ordered pair of dollar basis elements, as contractions of the 10x10
-    matrix T with the structure constants c of sp(2).
     """
     bk = K.bk
     T = split(t_k(K), bk)
     I = eye(T.shape[0], bk)
     two = bk.rational(2)
     char = tensordot(T * two - I * bk.rational(7), T * two + I * bk.rational(3), 1)
-    scale = max(frob(T, bk) ** 2, 1.0)
-
-    c = split(sp2.structure_constants(bk), bk)
-    half3 = bk.rational(3, 2)
-    cT = tensordot(c, T, axes=([1], [0]))     # [T D_i, D_j] at [k, j, i]
-    res = tensordot(cT, T, axes=([1], [0]))   # [T D_i, T D_j] at [k, i, j]
-    res = res - tensordot(T, np.transpose(cT, (0, 2, 1)) + c * half3,
-                          axes=([1], [0]))
-    res = res + tensordot(c, T * half3, axes=([2], [0]))
+    res = bracket_residual(T, bk)
+    scale = tol_scale(T, bk) ** 2
     return CdReport(all_zero(char, bk, scale=scale) and all_zero(res, bk, scale=scale),
                     {"characteristic": frob(char, bk),
                      "bracket_condition": frob(res, bk)})
 
 
+def bracket_residual(T, bk):
+    """The bracket condition at [k, i, j], A = D_i, B = D_j, as one commutator:
+    [(T + 3/2) A, T B] - T[(T + 3/2) A, B] = W T - (T W)^t, W[k, n, i] =
+    [(T + 3/2) D_i, D_n]_k, one contraction of the structure constants c."""
+    c = sp2.structure_constants(bk)
+    W = tensordot(c, T + eye(T.shape[0], bk) * bk.rational(3, 2), axes=([1], [0]))
+    TW = tensordot(T, W, axes=([1], [0]))
+    return tensordot(W, T, axes=([1], [0])) - np.transpose(TW, (0, 2, 1))
+
+
+@lru_cache(maxsize=None)
+def _compact_terms(bk):
+    """The S-free parts of the quartic conditions on sorted indices: the
+    (21/8) P P term at [(a,b), (c,d)]; E with (3/4) S.P = S[a,b,c,x] E[x,d,(m,n)];
+    and for k = 0..3 the row of X[(a,b,c), d] at each (a,b,c,d), d from slot k."""
+    pairs = sym_index(2)[0]
+    PP = np.multiply.outer(pmat(bk), pmat(bk))
+    one = np.transpose(PP, (0, 2, 1, 3)) + np.transpose(PP, (0, 2, 3, 1))
+    dP = np.multiply.outer(eye(4, bk), pmat(bk))        # delta[x,m] P[n,d]
+    two = np.transpose(dP, (0, 3, 1, 2)) + np.transpose(dP, (0, 3, 2, 1))
+    rows = sym_index(3)[1][..., None] * 4 + np.arange(4)
+    return (split(one.reshape(16, 16)[np.ix_(pairs, pairs)] * bk.rational(21, 8), bk),
+            split(two.reshape(4, 4, 16)[:, :, pairs] * bk.rational(3, 4), bk),
+            frozen([np.stack([np.moveaxis(rows, 3, k).reshape(-1)[sym_index(4)[0]]
+                              for k in range(4)])])[0])
+
+
 def cd_condition_one_residual(S, bk):
     """sum_{tau nu} U[tau,nu,a,b] S[tau,nu,c,d] - 2 S_{abcd}
        - (21/8)(P[a,c]P[b,d] + P[a,d]P[b,c]),
-    where U[t,n,a,b] = P[s,t] P[m,n] S[s,m,a,b]."""
-    P = pmat(bk)
-    U = p_contract(p_contract(S, 0, bk), 1, bk)
-    lhs = tensordot(U, S, axes=([0, 1], [0, 1]))
-    PP = np.multiply.outer(P, P)
-    rhs = S * bk.rational(2)
-    rhs = rhs + np.transpose(PP, (0, 2, 1, 3)) * bk.rational(21, 8)
-    rhs = rhs + np.transpose(PP, (0, 2, 3, 1)) * bk.rational(21, 8)
-    return lhs - rhs
+    where U[t,n,a,b] = P[s,t] P[m,n] S[s,m,a,b]; computed on sorted pairs."""
+    pairs, place = sym_index(2)
+    Sp = np.take(np.reshape(S, (4, 4, 16)), pairs, axis=2)
+    U = p_contract(p_contract(Sp, 0, bk), 1, bk)
+    rhs = np.take(np.reshape(Sp, (16, 10)), pairs, axis=0) * bk.rational(2)
+    R = tensordot(U, Sp, axes=([0, 1], [0, 1])) - rhs - _compact_terms(bk)[0]
+    return np.take(R, np.add.outer(place * 10, place))
 
 
 def cd_condition_two_residual(S, bk):
     """Sym_{abcd}( pi^{st} S_{sabc} S_{tdmn} + (3/4) S_{abcm} pi_{nd}
-                  + (3/4) S_{abcn} pi_{md} )."""
-    P = pmat(bk)
-    A = np.moveaxis(p_contract(S, 0, bk), 0, -1)       # [a,b,c,t]
-    SP = np.multiply.outer(S, P * bk.rational(3, 4))   # (3/4) S[a,b,c,x] P[y,z]
-    t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4))          # (3/4) S[abcm] P[n,d]
-    t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3))          # (3/4) S[abcn] P[m,d]
-    # The first term, at [a,b,c,d,m,n], is unnamed so it is freed before sym4 runs.
-    return sym4(tensordot(A, S, axes=([3], [0])) + t2 + t3, bk)
-
-
-def cd_averaged_residual(S, bk):
-    """Sym_{abcd}( pi^{st} S_{smab} S_{tncd} - (1/4) S_{abcd} pi_{mn}
-                  + (1/2) pi_{am} S_{nbcd} - (1/2) pi_{an} S_{mbcd} )."""
-    P = pmat(bk)
-    A = tensordot(S, P, axes=([0], [0]))               # S[s,m,a,b]P[s,t] -> [m,a,b,t]
-    B = tensordot(A, S, axes=([3], [0]))               # [m,a,b,n,c,d]
-    t1 = np.transpose(B, (1, 2, 4, 5, 0, 3))           # -> [a,b,c,d,m,n]
-    t2 = np.multiply.outer(S, P * bk.rational(-1, 4))
-    PS = np.multiply.outer(P * bk.rational(1, 2), S)   # (1/2) P[x,y] S[p,q,r,s]
-    t3 = np.transpose(PS, (0, 3, 4, 5, 1, 2))          # (1/2) P[a,m] S[n,b,c,d]
-    t4 = np.transpose(PS, (0, 3, 4, 5, 2, 1))          # (1/2) P[a,n] S[m,b,c,d]
-    return sym4(t1 + t2 + t3 - t4, bk)
+                  + (3/4) S_{abcn} pi_{md} ),
+    computed on sorted indices: the summand X is symmetric in (a,b,c) and in
+    (m,n), and Sym of it is the average over which index is in the slot of d."""
+    Sp = np.take(np.reshape(S, (4, 4, 16)), sym_index(2)[0], axis=2)
+    S3 = np.take(np.reshape(S, (64, 4)), sym_index(3)[0], axis=0)
+    _, E, rows = _compact_terms(bk)
+    X = np.reshape(tensordot(S3, E - p_contract(Sp, 0, bk), 1), (80, 10))
+    a, b, c, d = (np.take(X, r, axis=0) for r in rows)
+    outer = np.add.outer(sym_index(4)[1] * 10, sym_index(2)[1])
+    return np.take((a + b + c + d) * bk.rational(1, 4), outer)
 
 
 def is_cd_coordinates(K):
     """Coordinate-level test on the quartic S = kappa_inv(K)."""
-    S = kappa_inv(K)
-    bk = S.bk
-    arr = S.split
-    scale = max(frob(arr, bk) ** 2, 1.0)
+    bk, arr = K.bk, kappa_inv(K).split
+    scale = tol_scale(arr, bk) ** 2
     r1 = cd_condition_one_residual(arr, bk)
     r2 = cd_condition_two_residual(arr, bk)
     ok = all_zero(r1, bk, scale=scale) and all_zero(r2, bk, scale=scale)
-    return CdReport(ok, {"contraction": frob(r1, bk),
-                         "symmetrized": frob(r2, bk)})
+    return CdReport(ok, {"contraction": frob(r1, bk), "symmetrized": frob(r2, bk)})
 
 
 # -- stabilizer and orbit dimension ---------------------------------------
@@ -193,7 +193,7 @@ def check_group_element(M, bk):
     """M preserves pi (M^T P M = P) and the quaternionic structure
     (conj(M) = -P M P)."""
     P = pmat(bk)
-    s = max(frob(M, bk) ** 2, 1.0)
+    s = tol_scale(M, bk) ** 2
     sympl = all_zero(M.T @ P @ M - P, bk, scale=s)
     quat = all_zero(conj_arr(M, bk) + P @ M @ P, bk, scale=s)
     return sympl and quat
@@ -240,7 +240,7 @@ def k_from_frames(frames, bk=EXACT):
     sum_s eps_s ^ eps_s = -(3/4) Omega, and K is None when it fails.
     The g and omega terms are (3/8) Q, with Q = tensors.q_tensor.
     """
-    scale = max(max(frob(E, bk) for E in frames) ** 2, 1.0)
+    scale = max(max(tol_scale(E, bk) for E in frames) ** 2, 1.0)
     _check_frames(frames, bk, scale)
     if not irrep.closes_as_sp1(frames, bk, scale):
         return False, None

@@ -285,6 +285,11 @@ def _ints(x):
     return np.asarray(x, dtype=ExactArray.dtype)
 
 
+def _bits(v):
+    """The largest bit length of a numerator of the split form v."""
+    return max(int(max(u.max(initial=0), -u.min(initial=0))).bit_length() for u in v[:4])
+
+
 def _wrap(a, b, c, d, q):
     x = _new(ExactArray)
     x._v = (_ints(a), _ints(b), _ints(c), _ints(d), q)
@@ -302,9 +307,9 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
     """An array (a + b*i + c*sqrt(3) + d*i*sqrt(3)) / q over Q(i, sqrt(3)):
     four integer object arrays over one q > 0, each product divided by one
     gcd.  `+`, `-`, `*` (by a scalar or element-wise), `tensordot`, `np.conj`,
-    `np.multiply.outer`, `np.transpose`, `np.moveaxis` and `np.take` return
-    an ExactArray; `np.asarray` joins it back into ExactScalar objects, each
-    in normal form and every zero the shared zero.
+    `np.multiply.outer`, `np.transpose`, `np.moveaxis`, `np.reshape` and
+    `np.take` return an ExactArray; `np.asarray` joins it back into
+    ExactScalar objects, each in normal form and every zero the shared zero.
 
     >>> X = ExactArray.of([[ExactScalar(1, 1), ExactScalar("1/2")],
     ...                    [ExactScalar(0), ExactScalar(0, 0, 1)]])
@@ -319,6 +324,7 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
     dtype = np.dtype(object)        # the dtype of its join
     shape = property(lambda self: self._v[0].shape)
     ndim = property(lambda self: self._v[0].ndim)
+    planes = property(lambda self: self._v[:4])   # the numerators a, b, c, d
 
     @staticmethod
     def of(x):
@@ -342,7 +348,8 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
         return op(*map(ExactArray.of, inputs))
 
     def __array_function__(self, func, types, args, kwargs):
-        if func not in (np.transpose, np.moveaxis, np.take) or args[0] is not self:
+        if (func not in (np.transpose, np.moveaxis, np.reshape, np.take)
+                or args[0] is not self):
             return NotImplemented
         *v, q = self._v
         return _wrap(*(func(x, *args[1:], **kwargs) for x in v), q)
@@ -354,18 +361,31 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
             x, y, q1 = [u * (q // q1) for u in x], [u * (q // q2) for u in y], q
         return _wrap(*map(op, x, y), q1)
 
-    def _times(self, other, mul):
-        """mul(self, other) for a Z-bilinear mul: 4 calls if a factor is rational."""
-        (a1, *r1, q1), (a2, *r2, q2) = self._v, other._v
-        if not any(x.any() for x in r2):
-            return _reduced(*(mul(x, a2) for x in (a1, *r1)), q1 * q2)
-        if not any(x.any() for x in r1):
-            return _reduced(*(mul(a1, y) for y in (a2, *r2)), q1 * q2)
-        return _reduced(*karatsuba(self._v, other._v,
-                                   lambda x, y: mul(_ints(x), _ints(y))))
+    def _times(self, other, mul, n=None):
+        """mul(self, other) for a Z-bilinear mul: 4 calls if a factor is
+        rational, else 9.  A contraction over n terms runs on int64 if its
+        sx sy / n products outnumber the sx + sy numerators it converts, and
+        nothing overflows: with numerators below 2^B1 and 2^B2 a call is below
+        L = n 2^(B1 + B2), and `karatsuba` (four planes summed in, a call less
+        two others out) below 24 L < 2^(B1 + B2 + ceil(log2 n) + 5); 3 spare bits."""
+        x, y, dt = self._v, other._v, object
+        if (n and x[0].size * y[0].size > n * (x[0].size + y[0].size)
+                and _bits(x) + _bits(y) + (n - 1).bit_length() + 8 <= 63):
+            dt = np.int64
+            x, y = ([u.astype(dt) for u in v[:4]] + [v[4]] for v in (x, y))
+        (a1, *r1, q1), (a2, *r2, q2) = x, y
+        if not any(u.any() for u in r2):
+            out = [mul(u, a2) for u in (a1, *r1)]
+        elif not any(u.any() for u in r1):
+            out = [mul(a1, u) for u in (a2, *r2)]
+        else:
+            out = karatsuba(x, y, lambda u, v: mul(np.asarray(u, dt), np.asarray(v, dt)))
+        return _reduced(*(np.asarray(u).astype(object) for u in out[:4]), q1 * q2)
 
     def tensordot(self, other, axes):
-        return self._times(ExactArray.of(other), lambda x, y: np.tensordot(x, y, axes))
+        summed = range(-axes, 0) if isinstance(axes, int) else np.atleast_1d(axes[0])
+        return self._times(ExactArray.of(other), lambda x, y: np.tensordot(x, y, axes),
+                           math.prod(self.shape[k] for k in summed))
 
     def any(self):
         """Whether some entry is nonzero: the exact zero test."""

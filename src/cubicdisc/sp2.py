@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, conj_arr, pmat, frob, all_zero, jmap4,
+from .tensors import (zeros, asarray, split, conj_arr, pmat, tol_scale, all_zero, jmap4,
                       frozen, tensordot, PROWS, psigns)
 from . import linalg
 
@@ -21,7 +21,7 @@ PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]  # 10 index pairs
 
 
 def is_sp2_element(X, bk):
-    scale = frob(X, bk)
+    scale = tol_scale(X, bk)
     sym_ok = all_zero(X - X.T, bk, scale=scale)
     real_ok = all_zero(X - jmap4(X, bk), bk, scale=scale)
     return sym_ok, real_ok
@@ -144,7 +144,7 @@ def _dagger_kernel(bk):
     sharp/dual pairs, so that dagger(L) = Delta contracted with L on (a, b)."""
     ad_dual, ad_sharp = (ad(np.stack(E, axis=-1), bk)
                          for E in (sharp_dual_basis(bk), sharp_basis(bk)))
-    return frozen([tensordot(ad_dual, ad_sharp, ([2], [2]))])[0]
+    return split(tensordot(ad_dual, ad_sharp, ([2], [2])), bk)
 
 
 def dagger(L, bk=EXACT):
@@ -156,7 +156,7 @@ def dagger(L, bk=EXACT):
     >>> bool((dagger(eye(10, EXACT)) == eye(10, EXACT) * EXACT.rational(-6)).all())
     True
     """
-    return tensordot(_dagger_kernel(bk), L, ([1, 2], [0, 1]))
+    return asarray(tensordot(_dagger_kernel(bk), L, ([1, 2], [0, 1])), bk)
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +181,6 @@ def endo_is_real(M, bk=EXACT):
     """Check that a 10x10 endomorphism maps the real form into itself."""
     for B in real_basis(bk):
         Y = from_dollar_coords(M @ dollar_coords(B, bk), bk)
-        if not all_zero(Y - jmap4(Y, bk), bk, scale=frob(Y, bk) + 1.0):
+        if not all_zero(Y - jmap4(Y, bk), bk, scale=tol_scale(Y, bk) + 1.0):
             return False
     return True

@@ -7,7 +7,7 @@ tolerance.
 """
 
 from .scalars import get_backend
-from .tensors import zeros, pmat, eye, g8mat, jmats, frob, all_zero
+from .tensors import zeros, pmat, eye, g8mat, jmats, frob, tol_scale, all_zero
 from . import sp2
 from . import irrep
 from . import hk
@@ -175,7 +175,7 @@ def run_orbit(bk, seed=0):
     out.append(CheckResult("operator_spectrum", (m1, m2) == (3, 7),
                            info="mult(7/2)=%d mult(-3/2)=%d" % (m1, m2)))
     out.append(_res_check("dagger_characterization", hk.dagger_residual(T, bk),
-                          bk, scale=frob(T, bk) + 1.0))
+                          bk, scale=tol_scale(T, bk) + 1.0))
     dim, stab = orbit.stabilizer(irrep.s_hat(bk))
     joint = orbit.span_rank(list(irrep.upsilons(bk)) + stab, bk)
     out.append(CheckResult("stabilizer", dim == 3 and joint == 3,

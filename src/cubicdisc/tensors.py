@@ -37,9 +37,9 @@ def asarray(x, bk):
 
 
 def split(A, bk):
-    """A in the backend's split form, a value no caller can change: an
-    ExactArray on exact, a read-only complex128 copy on float."""
-    return ExactArray.of(A) if bk.dtype is object else frozen([asarray(A, bk).copy()])[0]
+    """A in the backend's split form, read-only: an ExactArray on exact, a
+    complex128 copy on float."""
+    return frozen([ExactArray.of(A) if bk.dtype is object else asarray(A, bk).copy()])[0]
 
 
 def conj_arr(A, bk):
@@ -54,6 +54,11 @@ def frob(A, bk):
     if A.dtype != object:
         return float(np.linalg.norm(A))
     return math.sqrt(sum(abs(bk.to_complex(x)) ** 2 for x in A.flat))
+
+
+def tol_scale(A, bk):
+    """frob(A) as the scale of a zero test, or 0.0 where tol = 0 (exact)."""
+    return frob(A, bk) if bk.tol else 0.0
 
 
 def all_zero(A, bk, scale=1.0):
@@ -133,11 +138,26 @@ FLIP = [4, 5, 6, 7, 0, 1, 2, 3]
 
 
 def frozen(arrays):
-    """The arrays as a tuple, each marked read-only: what a cached function
-    returns, so that no caller can change what a later caller gets."""
+    """The arrays (or ExactArray planes) as a tuple, each marked read-only:
+    what a cached function returns, so no caller changes a later one's."""
     for A in arrays:
-        A.flags.writeable = False
+        for u in (A.planes if isinstance(A, ExactArray) else (A,)):
+            u.flags.writeable = False
     return tuple(arrays)
+
+
+@lru_cache(maxsize=None)
+def sym_index(rank):
+    """For an array symmetric in `rank` slots of length 4: the flat places of
+    its sorted index tuples, and at each index tuple the place of its sorted one.
+
+    >>> first, place = sym_index(2)
+    >>> first.tolist(), int(place[2, 1]), int(place[1, 2])
+    ([0, 1, 2, 3, 5, 6, 7, 10, 11, 15], 5, 5)
+    """
+    flat = np.ravel_multi_index(np.sort(np.indices((4,) * rank), 0), (4,) * rank)
+    first = np.flatnonzero(flat == np.arange(flat.size).reshape(flat.shape))
+    return frozen((first, np.searchsorted(first, flat)))
 
 
 @lru_cache(maxsize=None)
@@ -242,6 +262,6 @@ def jmap4(S, bk):
 
 
 def is_totally_symmetric(S, bk):
-    scale = frob(S, bk)
+    scale = tol_scale(S, bk)
     return all(all_zero(S - np.transpose(S, perm), bk, scale=scale)
                for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import cubicdisc
-from cubicdisc.scalars import EXACT, FLOAT, FloatBackend, get_backend
+from cubicdisc.scalars import EXACT, FLOAT, ExactArray, FloatBackend, get_backend
 from cubicdisc.suites import run_suite
 
-# Arguments that a cached function takes before its backend.
-LEADING_ARGS = {"eye": (4,)}
+# The arguments of a cached function, where they are not its backend alone.
+ARGS = {"eye": lambda bk: (4, bk), "sym_index": lambda bk: (3,)}
 
 
 def cached_functions():
@@ -27,10 +27,12 @@ def cached_functions():
 
 
 def _arrays(value):
-    """The arrays in a cached result: itself, a tuple of them, or the
-    component array of a SymQuartic."""
+    """The arrays in a cached result: itself, a tuple of them, the four
+    integer planes of an ExactArray, or the component array of a SymQuartic."""
     if isinstance(value, np.ndarray):
         return [value]
+    if isinstance(value, ExactArray):
+        return list(value.planes)
     if isinstance(value, (tuple, list)):
         return [a for v in value for a in _arrays(v)]
     return _arrays(value.S)
@@ -38,13 +40,22 @@ def _arrays(value):
 
 def test_cached_functions_are_found():
     assert {"tensors.pmat", "tensors.q_tensor", "irrep.rep_w", "irrep.upsilons",
-            "sp2.real_basis"} <= set(cached_functions())
+            "sp2.real_basis", "sp2._dagger_kernel", "orbit._compact_terms",
+            "tensors.sym_index"} <= set(cached_functions())
+
+
+def test_split_kernels_are_held_split():
+    # The dagger kernel and the constant terms of the quartic conditions
+    # are cached in split form, so no call splits them again.
+    assert isinstance(cached_functions()["sp2._dagger_kernel"](EXACT), ExactArray)
+    for A in cached_functions()["orbit._compact_terms"](EXACT)[:2]:
+        assert isinstance(A, ExactArray)
 
 
 @pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
 def test_cached_arrays_are_read_only(bk):
     for name, fn in cached_functions().items():
-        arrays = _arrays(fn(*LEADING_ARGS.get(name.split(".")[1], ()), bk))
+        arrays = _arrays(fn(*ARGS.get(name.split(".")[1], lambda bk: (bk,))(bk)))
         assert arrays, name
         for A in arrays:
             assert not A.flags.writeable, name

@@ -2,16 +2,115 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
-from cubicdisc.tensors import frob, all_zero
-from cubicdisc import sp2, hk, irrep, orbit, scalars
+from cubicdisc.tensors import (frob, all_zero, asarray, pmat, p_contract, split,
+                               sym4, tensordot)
+from cubicdisc import sp2, hk, irrep, orbit, scalars, tensors
 
 bk = EXACT
 
 
 def reference():
     return hk.kappa(irrep.s_hat(bk))
+
+
+# -- full-array forms of the orbit identities, as references -----------------
+
+
+def condition_one_full(S, bk):
+    """Condition one on all 4^4 entries."""
+    P = pmat(bk)
+    U = p_contract(p_contract(S, 0, bk), 1, bk)
+    lhs = tensordot(U, S, axes=([0, 1], [0, 1]))
+    PP = np.multiply.outer(P, P)
+    rhs = S * bk.rational(2)
+    rhs = rhs + np.transpose(PP, (0, 2, 1, 3)) * bk.rational(21, 8)
+    rhs = rhs + np.transpose(PP, (0, 2, 3, 1)) * bk.rational(21, 8)
+    return lhs - rhs
+
+
+def condition_two_full(S, bk):
+    """Condition two on all 4^6 entries, averaged over the 24 orders."""
+    P = pmat(bk)
+    A = np.moveaxis(p_contract(S, 0, bk), 0, -1)       # [a,b,c,t]
+    SP = np.multiply.outer(S, P * bk.rational(3, 4))   # (3/4) S[a,b,c,x] P[y,z]
+    t2 = np.transpose(SP, (0, 1, 2, 5, 3, 4))          # (3/4) S[abcm] P[n,d]
+    t3 = np.transpose(SP, (0, 1, 2, 5, 4, 3))          # (3/4) S[abcn] P[m,d]
+    return sym4(tensordot(A, S, axes=([3], [0])) + t2 + t3, bk)
+
+
+def bracket_four_terms(T, bk):
+    """[T A, T B] - T([T A, B] + (3/2)[A, B]) + (3/2)[A, T B], term by term."""
+    c = split(sp2.structure_constants(bk), bk)
+    half3 = bk.rational(3, 2)
+    cT = tensordot(c, T, axes=([1], [0]))     # [T D_i, D_j] at [k, j, i]
+    res = tensordot(cT, T, axes=([1], [0]))   # [T D_i, T D_j] at [k, i, j]
+    res = res - tensordot(T, np.transpose(cT, (0, 2, 1)) + c * half3,
+                          axes=([1], [0]))
+    return res + tensordot(c, T * half3, axes=([2], [0]))
+
+
+def cd_averaged_residual(S, bk):
+    """Sym_{abcd}( pi^{st} S_{smab} S_{tncd} - (1/4) S_{abcd} pi_{mn}
+                  + (1/2) pi_{am} S_{nbcd} - (1/2) pi_{an} S_{mbcd} )."""
+    P = pmat(bk)
+    A = tensordot(S, P, axes=([0], [0]))               # S[s,m,a,b]P[s,t] -> [m,a,b,t]
+    B = tensordot(A, S, axes=([3], [0]))               # [m,a,b,n,c,d]
+    t1 = np.transpose(B, (1, 2, 4, 5, 0, 3))           # -> [a,b,c,d,m,n]
+    t2 = np.multiply.outer(S, P * bk.rational(-1, 4))
+    PS = np.multiply.outer(P * bk.rational(1, 2), S)   # (1/2) P[x,y] S[p,q,r,s]
+    t3 = np.transpose(PS, (0, 3, 4, 5, 1, 2))          # (1/2) P[a,m] S[n,b,c,d]
+    t4 = np.transpose(PS, (0, 3, 4, 5, 2, 1))          # (1/2) P[a,n] S[m,b,c,d]
+    return sym4(t1 + t2 + t3 - t4, bk)
+
+
+def orbit_point(seed, perturbed, bk):
+    """The reference moved along the Cayley transform of random_sp2(seed),
+    plus kappa(random_quartic(seed)) / 3 if perturbed."""
+    try:
+        M = orbit.cayley_sp2(orbit.random_sp2(seed, bk), bk)
+    except ValueError:                          # I + PX singular
+        assume(False)
+    K = orbit.transport_hk(hk.kappa(irrep.s_hat(bk)), M)
+    if perturbed:
+        Q = hk.kappa(orbit.random_quartic(seed, bk)).Kmix * bk.rational(1, 3)
+        K = hk.HKTensor(K.Kmix + Q, bk)
+    return K
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_compact_identities_equal_full_forms(seed, perturbed):
+    # Exact: the residuals computed on independent components equal the
+    # full forms entry by entry; float: within tol.  The two predicates
+    # agree on the point.
+    for bk in (EXACT, FLOAT):
+        K = orbit_point(seed, perturbed, bk)
+        S = K.quartic().split
+        T = split(hk.t_k(K), bk)
+        for got, want in [
+                (orbit.cd_condition_one_residual(S, bk), condition_one_full(S, bk)),
+                (orbit.cd_condition_two_residual(S, bk), condition_two_full(S, bk)),
+                (orbit.bracket_residual(T, bk), bracket_four_terms(T, bk))]:
+            got, want = asarray(got, bk), asarray(want, bk)
+            assert got.shape == want.shape
+            assert all_zero(got - want, bk, scale=frob(want, bk))
+        assert (orbit.is_cd_theorem(K).verdict == orbit.is_cd_coordinates(K).verdict
+                == (not perturbed))
+
+
+@pytest.mark.parametrize("backend, scales", [(EXACT, 0), (FLOAT, 4)],
+                         ids=["exact", "float"])
+def test_scales_are_computed_only_where_read(monkeypatch, backend, scales):
+    # The exact zero test reads no scale, so no norm is taken for one; on
+    # float the two validations of kappa_inv and the two predicates take one.
+    K = hk.kappa(irrep.s_hat(backend))
+    calls = []
+    monkeypatch.setattr(tensors, "frob", lambda A, bk: calls.append(A) or 1.0)
+    assert orbit.is_cd_coordinates(K).verdict and orbit.is_cd_theorem(K).verdict
+    assert len(calls) == scales
 
 
 def test_reference_passes_both_predicates():
@@ -36,7 +135,7 @@ def test_coordinate_residual_names():
 
 def test_averaged_condition_on_reference():
     S = irrep.s_hat(bk)
-    res = orbit.cd_averaged_residual(S.S, bk)
+    res = cd_averaged_residual(S.S, bk)
     assert all_zero(res, bk, scale=100.0)
 
 

@@ -27,7 +27,6 @@ ALLOWED = {
     "hk.t_k_from_orthonormal_sum": "reference route: T_K by its defining sum",
     "hk.hk_from_endo": "reference route: K back from T_K",
     "hk.tangent_H_from_contraction": "reference route: H by double contraction",
-    "orbit.cd_averaged_residual": "reference route: averaged orbit condition",
     "irrep.module_56": "reference route: the 56-dimensional torsion carrier",
     "models.CoframeSystem.structure_constants":
         "reference route: the dense Lie table behind the Jacobi test",

@@ -238,6 +238,7 @@ def test_exact_array_matches_elementwise_oracle(data):
              (np.multiply.outer(X, C), np.multiply.outer(A, C))]
     if shape:
         cases.append((np.moveaxis(X, src, dst), np.moveaxis(A, src, dst)))
+        cases.append((np.reshape(X, (-1,)), np.reshape(A, (-1,))))
     for got, want in cases:
         want = tensors.asarray(want, EXACT)     # 0-d object ops give scalars
         assert isinstance(got, ExactArray)
@@ -257,6 +258,41 @@ def test_exact_array_tensordot_matches_elementwise_oracle(data):
     want = np.tensordot(A, B, axes)
     assert (_normal(got) == want).all()
     assert tensors.all_zero(got, EXACT) == (not any(np.ravel(want)))
+
+
+@pytest.mark.parametrize("n", [2, 16, 100])
+@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "one_bit_past"])
+@pytest.mark.parametrize("signs", ["equal", "mixed"])
+def test_int64_products_at_their_bound(monkeypatch, n, past, signs):
+    # An (8, n) by (n, 8) contraction, whose products outnumber its
+    # conversions.  Numerators +-(2^b - 1) with b1 + b2 + ceil(log2 n) + 8
+    # = 63 run on int64; one bit more runs on Python ints.  Both equal the
+    # object product.
+    log = (n - 1).bit_length()
+    b2 = (55 - log) // 2
+    b1 = 55 - log - b2 + past
+    rng = random.Random(n)
+
+    def operand(shape, b):
+        m = 2 ** b - 1
+        return tensors.asarray(
+            [ExactScalar(*(m if signs == "equal" else rng.choice((m, -m))
+                           for _ in range(4))) for _ in range(math.prod(shape))],
+            EXACT).reshape(shape)
+
+    A, B = operand((8, n), b1), operand((n, 8), b2)
+    dtypes = set()
+    numpy_tensordot = np.tensordot
+
+    def recorded(x, y, axes):
+        dtypes.add(x.dtype)
+        return numpy_tensordot(x, y, axes)
+
+    monkeypatch.setattr(np, "tensordot", recorded)
+    got = ExactArray.of(A).tensordot(ExactArray.of(B), 1)
+    monkeypatch.undo()
+    assert dtypes == {np.dtype(object) if past else np.dtype(np.int64)}
+    assert (_normal(got) == np.tensordot(A, B, 1)).all()
 
 
 # -- the matrix-product kernel against numpy's object @ ----------------------
