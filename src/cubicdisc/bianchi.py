@@ -12,7 +12,7 @@ zero solution, the second a single line, parameterized by h, with
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, conj_arr, pmat, eye, all_zero
+from .tensors import zeros, asarray, conj_arr, pmat, eye
 from .irrep import upsilons
 from .linalg import SparseEliminator
 
@@ -216,7 +216,3 @@ class FirstBianchiSolution:
             expect = (upsilons(bk)[s] @ P) * bk.rational(-2, 3)
             out["D%d" % (s + 1)] = self.D[s] - expect
         return out
-
-    def matches_structure(self):
-        return all(all_zero(r, self.bk, scale=10.0)
-                   for r in self.structure_residuals().values())

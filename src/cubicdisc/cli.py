@@ -1,7 +1,8 @@
 """Command line entry point: run a verification suite and emit a report.
 
-Exit status: 0 when every check passes, 1 when some check fails, 2 on usage
-or runtime errors.
+Exit status: 0 when every check passes, 1 when some check fails, 2 on a
+usage or I/O error, 3 on an internal error (an exception raised while a
+suite runs).
 """
 
 import argparse
@@ -85,7 +86,7 @@ def main(argv=None):
                            seed=args.seed)
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3
     report = make_report(args, checks)
     text = (json.dumps(report, indent=2) + "\n" if args.format == "json"
             else render_md(report))

@@ -191,29 +191,31 @@ def lie_derivative_full8(f, U8, bk):
     return out
 
 
+def quartic_action(S, X, bk):
+    """Lie derivative of a lower-index quartic along the sp(2) element X."""
+    return lie_derivative_full8(S, sp2.to_endo(X, bk), bk)
+
+
+def action_rows(S, bk):
+    """One real row per real-form generator X: the flattened action X.S,
+    its 256 complex components split into 512 real ones."""
+    return [linalg.real_flat(quartic_action(S, X, bk), bk) for X in sp2.real_basis(bk)]
+
+
 def solve_generator(K, L, bk):
-    """Find U in sp(2) with L = (Lie derivative of K along U); error if none."""
-    f = K.full8()
-    Lf = L.full8()
-    basis = sp2.real_basis(bk)
-    cols = []
-    for X in basis:
-        U8 = sp2.endo_on_v(X, bk)
-        cols.append(lie_derivative_full8(f, U8, bk).reshape(-1))
-    rows = []
-    rhs = []
-    flatL = Lf.reshape(-1)
-    for k in range(flatL.shape[0]):
-        rows.append([bk.re(col[k]) for col in cols])
-        rhs.append(bk.re(flatL[k]))
-        rows.append([bk.im(col[k]) for col in cols])
-        rhs.append(bk.im(flatL[k]))
+    """Find U in sp(2) with L = (Lie derivative of K along U); error if none.
+
+    Solved on the quartics, since kappa intertwines the sp(2) actions:
+    U.kappa_inv(K) = kappa_inv(L), 256 complex equations.  kappa_inv(L) is
+    not validated, so an L of another type is rejected as not tangent."""
+    cols = action_rows(asarray(_kappa_core(K.split, bk), bk), bk)
     try:
-        coeffs = linalg.solve(rows, rhs, bk)
+        coeffs = linalg.solve(list(zip(*cols)),
+                              linalg.real_flat(_kappa_core(L.split, bk), bk), bk)
     except ValueError:
         raise ValueError("L is not tangent to the orbit at K (no generator U exists)")
     U = zeros((4, 4), bk)
-    for c, X in zip(coeffs, basis):
+    for c, X in zip(coeffs, sp2.real_basis(bk)):
         U = U + X * c
     return U
 

@@ -15,7 +15,7 @@ from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, tol_sca
                       all_zero, tensordot, matmul, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
-from .hk import SymQuartic
+from .hk import SymQuartic, quartic_action
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +89,10 @@ def classical_discriminant(a, b, c, d, bk=EXACT):
             - n(4) * a * c * c * c - n(4) * b * b * b * d + b * b * c * c)
 
 
-def substitution_check(bk=EXACT):
-    """3 * S_hat-form equals the classical discriminant under
-    x1 = a, x2 = b/sqrt3, x3 = d, x4 = -c/sqrt3, as a polynomial identity."""
+def substitution_residual(bk=EXACT):
+    """The coefficient differences, monomial by monomial, between 3 * the
+    S_hat-form under x1 = a, x2 = b/sqrt3, x3 = d, x4 = -c/sqrt3 and the
+    classical discriminant: zero iff the polynomial identity holds."""
     S = s_hat(bk).S
     third = bk.rational(1, 3)
     scale_of = {
@@ -120,9 +121,8 @@ def substitution_check(bk=EXACT):
         (0, 3, 0, 1): bk.rational(-4),
         (0, 2, 2, 0): bk.one,
     }
-    keys = set(lhs) | set(rhs)
-    diffs = [lhs.get(k, bk.zero) - rhs.get(k, bk.zero) for k in sorted(keys)]
-    return all_zero(diffs, bk, scale=27.0)
+    return asarray([lhs.get(k, bk.zero) - rhs.get(k, bk.zero)
+                    for k in sorted(set(lhs) | set(rhs))], bk)
 
 
 def upsilon_lemma_residuals(bk=EXACT):
@@ -138,7 +138,6 @@ def upsilon_lemma_residuals(bk=EXACT):
     6. contracting S_hat twice with pi against Upsilon_s gives (7/2) Upsilon_s;
     7. sum_s Upsilon_s pi Upsilon_s = (15/4) pi.
     """
-    from .orbit import quartic_action
     P = pmat(bk)
     U = upsilons(bk)
     S = s_hat(bk).S

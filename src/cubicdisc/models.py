@@ -12,11 +12,12 @@ and scalar curvature, and the comparison with the invariant quartic.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, pmat, g8mat, jmats, omega_forms, q_tensor, FLIP
+from .tensors import zeros, pmat, g8mat, jmats, omega_forms, q_tensor, frozen, FLIP
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
@@ -235,6 +236,7 @@ def curvature_tensor(cs):
     return R
 
 
+@lru_cache(maxsize=None)
 def r0_tensor(bk=EXACT):
     """The normalized constant-curvature-type tensor R0:
 
@@ -246,7 +248,7 @@ def r0_tensor(bk=EXACT):
     out = q_tensor(bk)
     for om in omega_forms(bk):
         out = out - np.multiply.outer(om, om) * bk.rational(2)
-    return out * bk.rational(1, 4)
+    return frozen([out * bk.rational(1, 4)])[0]
 
 
 def model_curvature_residual(cs):

@@ -24,7 +24,7 @@ from . import linalg
 from . import irrep
 # t_k_apply is re-exported for callers that reach it as orbit.t_k_apply.
 from .hk import (HKTensor, SymQuartic, kappa, kappa_inv, t_k, t_k_apply,  # noqa: F401
-                 lie_derivative_full8)
+                 action_rows)
 
 
 class CdReport:
@@ -124,16 +124,6 @@ def is_cd_coordinates(K):
 # -- stabilizer and orbit dimension ---------------------------------------
 
 
-def quartic_action(S, X, bk):
-    """Lie derivative of a lower-index quartic along the sp(2) element X."""
-    return lie_derivative_full8(S, sp2.to_endo(X, bk), bk)
-
-
-def _action_rows(S, bk):
-    """One real row per real-form generator X: the flattened action X.S."""
-    return [linalg.real_flat(quartic_action(S, X, bk), bk) for X in sp2.real_basis(bk)]
-
-
 def stabilizer(S):
     """Stabilizer of a SymQuartic inside the real form of sp(2).
 
@@ -143,7 +133,7 @@ def stabilizer(S):
     bk = S.bk
     # Stabilizer coefficients are the nullspace of the action matrix, whose
     # columns are the ten generators' rows.
-    null = linalg.nullspace(list(zip(*_action_rows(S.S, bk))), bk)
+    null = linalg.nullspace(list(zip(*action_rows(S.S, bk))), bk)
     stab = []
     for v in null:
         X = zeros((4, 4), bk)
@@ -170,7 +160,7 @@ def orbit_dimension(K):
     curvature tensors.
     """
     S = kappa_inv(K)
-    return linalg.rank(_action_rows(S.S, S.bk), S.bk)
+    return linalg.rank(action_rows(S.S, S.bk), S.bk)
 
 
 # -- moving along the orbit ----------------------------------------------

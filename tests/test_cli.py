@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cubicdisc import suites
 from cubicdisc.cli import main
 
 
@@ -78,6 +79,16 @@ def test_unwritable_output_is_error(tmp_path):
     code = main(["verify", "preliminaries", "--backend", "float",
                  "--out", str(tmp_path / "nodir" / "x.json")])
     assert code == 2
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(bk, seed):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setitem(suites._RUNNERS, "bianchi", broken)
+    assert main(["verify", "bianchi", "--backend", "float"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: broken suite" in err
 
 
 def test_stdout_report(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import zeros, eye, frob, all_zero, jmats, FLIP
-from cubicdisc import sp2, hk, irrep, orbit
+from cubicdisc import sp2, hk, irrep, orbit, linalg
 
 bk = EXACT
 
@@ -108,6 +108,43 @@ def test_solve_generator_rejects_nontangent():
         hk.solve_generator(K, L, bk)
 
 
+def _solve_generator_full8(K, L, bk):
+    """The 8^4 route: L.full8() = (Lie derivative of K.full8() along U),
+    4,096 complex equations, 8,192 real rows."""
+    basis = sp2.real_basis(bk)
+    cols = [hk.lie_derivative_full8(K.full8(), sp2.endo_on_v(X, bk), bk).reshape(-1)
+            for X in basis]
+    rows, rhs = [], []
+    for k, x in enumerate(L.full8().reshape(-1)):
+        for part in (bk.re, bk.im):
+            rows.append([part(col[k]) for col in cols])
+            rhs.append(part(x))
+    coeffs = linalg.solve(rows, rhs, bk)
+    return sum((X * c for c, X in zip(coeffs, basis)), zeros((4, 4), bk))
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", [17, 29, 41])
+def test_solve_generator_matches_full8_route(monkeypatch, bk, seed):
+    # The reference point has a 3-dimensional stabilizer, so U is one
+    # solution among many; both routes set the same free variables to zero.
+    K = hk.kappa(irrep.s_hat(bk))
+    U8 = sp2.endo_on_v(orbit.random_sp2(seed, bk), bk)
+    Lf = hk.lie_derivative_full8(K.full8(), U8, bk)
+    L = hk.HKTensor(Lf[np.ix_(range(4), range(4, 8), range(4), range(4, 8))], bk)
+    want = _solve_generator_full8(K, L, bk)
+
+    def no_full8(self):
+        raise AssertionError("solve_generator built the 8^4 tensor")
+
+    monkeypatch.setattr(hk.HKTensor, "full8", no_full8)
+    U = hk.solve_generator(K, L, bk)
+    if bk is EXACT:
+        assert (U == want).all()
+    else:
+        assert all_zero(U - want, bk, scale=frob(want, bk))
+
+
 def test_double_contractions_on_reference():
     K = reference()
     assert all_zero(hk.contr_kxk_1_residual(K), bk, scale=100.0)
@@ -183,5 +220,5 @@ def test_kappa_intertwines_sp2_actions():
     for K in _hk_samples():
         S = hk.kappa_inv(K).S
         Lf = hk.lie_derivative_full8(K.full8(), sp2.endo_on_v(X, bk), bk)
-        expect = hk.kappa(hk.SymQuartic(orbit.quartic_action(S, X, bk), bk)).Kmix
+        expect = hk.kappa(hk.SymQuartic(hk.quartic_action(S, X, bk), bk)).Kmix
         assert all_zero(Lf[mixed] - expect, bk)

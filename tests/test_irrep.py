@@ -87,7 +87,7 @@ def test_discriminant_values():
 
 
 def test_substitution_identity():
-    assert irrep.substitution_check(bk)
+    assert all_zero(irrep.substitution_residual(bk), bk, scale=27.0)
 
 
 def test_projection_identities():

@@ -176,7 +176,7 @@ def test_orbit_dimension_stays_on_the_quartic(monkeypatch):
 
     lie = hk.lie_derivative_full8
     monkeypatch.setattr(hk.HKTensor, "full8", no_full8)
-    monkeypatch.setattr(orbit, "lie_derivative_full8", quartic_only)
+    monkeypatch.setattr(hk, "lie_derivative_full8", quartic_only)
     assert orbit.orbit_dimension(reference()) == 7
 
 

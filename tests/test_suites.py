@@ -1,5 +1,6 @@
 """Exact check verdicts are decided in the field, not through float norms."""
 
+import ast
 import json
 import math
 import pathlib
@@ -78,6 +79,44 @@ def test_solution_structure_fails_on_tiny_residual(monkeypatch):
                         tampered)
     check = _check(suites.run_bianchi(EXACT), "solution_structure")
     assert not check.passed and check.residual == 0.0
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_discriminant_values_reports_the_gap_of_d1(monkeypatch, bk):
+    # d1 = Dis(1, 0, -1, 0) is the call with d = 0; d2 stays 0.
+    real = irrep.classical_discriminant
+
+    def tampered(a, b, c, d, bk):
+        out = real(a, b, c, d, bk)
+        return out + bk.rational(1, 2) if not d else out
+
+    monkeypatch.setattr(irrep, "classical_discriminant", tampered)
+    check = _check(suites.run_irrep(bk), "discriminant_values")
+    assert not check.passed and check.residual == 0.5
+
+
+def test_discriminant_substitution_fails_on_tiny_residual(monkeypatch):
+    real = irrep.substitution_residual
+    monkeypatch.setattr(irrep, "substitution_residual", lambda bk: _inject(real(bk)))
+    check = _check(suites.run_irrep(EXACT), "discriminant_substitution")
+    assert not check.passed and check.residual == 0.0
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_closure_verdict_is_the_predicates(monkeypatch, bk):
+    monkeypatch.setattr(models.CoframeSystem, "is_closed", lambda self: False)
+    checks = suites.run_models(bk)
+    assert not _check(checks, "closure_flat").passed
+
+
+def test_only_the_judge_builds_check_results():
+    # Runners hand over evidence; no zero test or norm is taken in them.
+    tree = ast.parse(pathlib.Path(suites.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("run_"):
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            assert not names & {"all_zero", "is_zero", "frob", "CheckResult"}, node.name
 
 
 # The exact report of `verify all --seed 0`: name, passed, residual and info
