@@ -16,7 +16,7 @@ import json
 from .scalars import EXACT, ExactScalar
 from .tensors import zeros
 from .hk import SymQuartic, HKTensor
-from .models import CoframeSystem, LABELS, N_FORMS, _form_add
+from .models import CoframeSystem, LABELS, N_FORMS, PAIRS
 
 
 def scalar_to_json(x, bk):
@@ -111,39 +111,38 @@ def hk_from_json(data, bk=EXACT):
 
 
 def coframe_to_json(cs):
+    """One row [label, label, scalar] per nonzero d[k, i, j], i < j, in order."""
     bk = cs.bk
-    d = {}
-    for k in range(N_FORMS):
-        rows = []
-        for (i, j) in sorted(cs.d[k]):
-            rows.append([LABELS[i], LABELS[j], scalar_to_json(cs.d[k][(i, j)], bk)])
-        d[LABELS[k]] = rows
-    out = {"kind": "coframe", "labels": list(LABELS), "d": d}
+    d = cs.d.tolist()
+    rows = {LABELS[k]: [[LABELS[i], LABELS[j], scalar_to_json(d[k][i][j], bk)]
+                        for i, j in PAIRS if d[k][i][j]] for k in range(N_FORMS)}
+    out = {"kind": "coframe", "labels": list(LABELS), "d": rows}
     out["h"] = None if cs.h is None else scalar_to_json(cs.h, bk)
     return out
 
 
 def coframe_from_json(data, bk=EXACT):
     """The labels must be models.LABELS, and d map labels to lists of rows
-    [label, label, scalar] of two distinct labels.  A row (j, i) is stored
-    as the sorted (i, j) negated; rows on one pair add up."""
+    [label, label, scalar] of two distinct labels.  Each row is one term of
+    CoframeSystem: a row (j, i) reads as (i, j) negated, and rows on one
+    pair add up."""
     if data.get("labels") != LABELS:
         raise ValueError("\"labels\" must be %r" % (LABELS,))
     index = {name: k for k, name in enumerate(LABELS)}
-    d = {}
+    terms = zeros((N_FORMS,) * 3, bk)
     for name, rows in _object(data, "d", "labels to lists of rows"):
         if name not in index or not isinstance(rows, list):
             raise ValueError("d[%r] is not a list of rows of a known form" % (name,))
-        form = d[index[name]] = {}
         for row in rows:
             if not (isinstance(row, list) and len(row) == 3 and row[0] != row[1]
                     and all(isinstance(x, str) and x in index for x in row[:2])):
                 raise ValueError("d[%r] row %r is not [label, label, scalar] "
                                  "with two distinct labels" % (name, row))
-            _form_add(form, (index[row[0]], index[row[1]]), scalar_from_json(
-                row[2], bk, "d[%r] entry (%r, %r)" % (name, row[0], row[1])), bk)
+            at = (index[name], index[row[0]], index[row[1]])
+            terms[at] = terms[at] + scalar_from_json(
+                row[2], bk, "d[%r] entry (%r, %r)" % (name, row[0], row[1]))
     h = None if data.get("h") is None else scalar_from_json(data["h"], bk, "h")
-    return CoframeSystem(d, bk, h=h)
+    return CoframeSystem(terms, bk, h=h)
 
 
 _DUMPERS = {SymQuartic: quartic_to_json, HKTensor: hk_to_json,

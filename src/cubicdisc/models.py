@@ -1,14 +1,15 @@
 """Left-invariant coframe models carrying the cubic discriminant curvature.
 
 A CoframeSystem stores the exterior derivatives of a 14-dimensional coframe
-(psi1..psi3, phi1..phi3, th1..th4, th1b..th4b) as 2-forms with constant
-coefficients.  A one-parameter family, indexed by a real scalar h, has closed
-members exactly as dictated by the differential constraints; h = -3/2 and
-h = 3/2 give the compact and split models, h = 0 the flat one.
+(psi1..psi3, phi1..phi3, th1..th4, th1b..th4b) as one 14 x 14 x 14 array of
+constant coefficients, whose negative is the Lie bracket.  A one-parameter
+family, indexed by a real scalar h, has closed members exactly as dictated
+by the differential constraints; h = -3/2 and h = 3/2 give the compact and
+split models, h = 0 the flat one.
 
-The module also computes the induced Lie bracket and Jacobi residuals, the
-curvature operator restricted to the 8-dimensional horizontal space, Ricci
-and scalar curvature, and the comparison with the invariant quartic.
+The module also computes the Jacobi residuals (d^2 = 0), the curvature
+operator restricted to the 8-dimensional horizontal space, Ricci and scalar
+curvature, and the comparison with the invariant quartic.
 """
 
 import itertools
@@ -17,91 +18,53 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, pmat, g8mat, jmats, omega_forms, q_tensor, frozen, FLIP
+from .tensors import (zeros, asarray, matmul, conj_arr, eye, pmat, g8mat, jmats,
+                      omega_forms, q_tensor, frozen, FLIP)
 from .irrep import rep_w, upsilons, script_e_frames, s_hat
 from .hk import kappa
 
 N_FORMS = 14
 LABELS = ["psi1", "psi2", "psi3", "phi1", "phi2", "phi3",
           "th1", "th2", "th3", "th4", "th1b", "th2b", "th3b", "th4b"]
-PSI = (0, 1, 2)
-PHI = (3, 4, 5)
 TH0 = 6    # th_alpha = TH0 + alpha, thbar_alpha = TH0 + 4 + alpha
-# Row of each index triple i < j < l in CoframeSystem.jacobi_residual.
-TRIPLES = {t: n for n, t in enumerate(itertools.combinations(range(N_FORMS), 3))}
+# The pairs i < j and the triples i < j < l in itertools order: the columns
+# of the product in CoframeSystem.jacobi_residual and the rows of its result.
+PAIRS = list(itertools.combinations(range(N_FORMS), 2))
+_A, _B = np.array(PAIRS).T
+_PLACE = np.zeros((N_FORMS, N_FORMS), dtype=int)    # the place of (a, b) in PAIRS
+_PLACE[_A, _B] = range(len(PAIRS))
+_I, _J, _L = np.array(list(itertools.combinations(range(N_FORMS), 3))).T
 
 
-def _accumulate(form, key, value, bk):
-    """form[key] += value, dropping the key when the sum is zero."""
-    cur = form.get(key, bk.zero) + value
-    if cur:
-        form[key] = cur
-    else:
-        form.pop(key, None)
-
-
-def _form_add(form, key, value, bk):
-    """Add value * e^i ^ e^j to a 2-form keyed by sorted pairs; zeros drop out."""
-    i, j = key
-    if i == j:
-        return
-    if i > j:
-        i, j = j, i
-        value = -value
-    _accumulate(form, (i, j), value, bk)
-
-
-def wedge_with_one_form(form2, j, bk):
-    """The 3-form (2-form) ^ e^j, keyed by sorted index triples."""
-    out = {}
-    for (p, q), v in form2.items():
-        idx = (p, q, j)
-        if len(set(idx)) < 3:
-            continue
-        order = sorted(range(3), key=lambda t: idx[t])
-        sgn = 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if order[a] > order[b]:
-                    sgn = -sgn
-        key = tuple(sorted(idx))
-        w = v if sgn > 0 else -v
-        _accumulate(out, key, w, bk)
-    return out
+def _largest(A, bk):
+    """The largest |entry| of A, 0.0 if every entry is zero."""
+    return max((abs(bk.to_complex(v)) for v in A.ravel().tolist() if v), default=0.0)
 
 
 class CoframeSystem:
-    """Constant-coefficient exterior derivative on a fixed 14-coframe."""
+    """Constant-coefficient exterior derivative on a fixed 14-coframe, held
+    as one read-only array d[k, i, j] = (de^k)_ij, antisymmetric in (i, j):
+    de^k = sum_{i<j} d[k, i, j] e^i ^ e^j.  Its negative is the array of
+    structure constants, [v_i, v_j] = -sum_k d[k, i, j] v_k.
 
-    def __init__(self, d, bk=EXACT, h=None):
+    `terms[k, i, j]` is the coefficient of e^i ^ e^j in de^k for every i, j,
+    so a term and its reversal enter with opposite signs: d = terms - terms^T.
+    The difference is added to the backend's zero, which on float clears
+    the negative zero parts that a product such as i * h leaves (else C
+    would print as 0.75-0j)."""
+
+    def __init__(self, terms, bk=EXACT, h=None):
         self.bk = bk
-        self.d = {k: dict(v) for k, v in d.items()}
-        for k in range(N_FORMS):
-            self.d.setdefault(k, {})
+        terms = asarray(terms, bk)
+        self.d = zeros(terms.shape, bk) + (terms - np.swapaxes(terms, 1, 2))
+        self.d.flags.writeable = False
         self.h = h
         self._jacobi = None
-
-    def d_two_form(self, form2):
-        """d applied to a 2-form with constant coefficients, by Leibniz."""
-        bk = self.bk
-        out = {}
-        for (i, j), v in form2.items():
-            for (p, q), w in self.d[i].items():
-                t = wedge_with_one_form({(p, q): v * w}, j, bk)
-                for key, val in t.items():
-                    _accumulate(out, key, val, bk)
-            for (p, q), w in self.d[j].items():
-                t = wedge_with_one_form({(p, q): -(v * w)}, i, bk)
-                for key, val in t.items():
-                    _accumulate(out, key, val, bk)
-        return out
+        self._curvature = None
 
     def closure_residual(self):
         """The largest |d(d e^k)| entry."""
-        bk = self.bk
-        return max((abs(bk.to_complex(v))
-                    for v in self.jacobi_residual().ravel().tolist() if v),
-                   default=0.0)
+        return _largest(self.jacobi_residual(), self.bk)
 
     def is_closed(self):
         """d^2 = 0 (the Jacobi identity): the one rule of the closure_* and
@@ -109,87 +72,72 @@ class CoframeSystem:
         coefficients, so it is judged zero at the scale max(1, c)^2, c the
         largest |coefficient|."""
         bk = self.bk
-        scale = max((abs(bk.to_complex(v)) for f in self.d.values()
-                     for v in f.values()), default=1.0)
-        return all(bk.is_zero(v, max(1.0, scale) ** 2)
+        scale = max(1.0, _largest(self.d, bk)) ** 2
+        return all(bk.is_zero(v, scale)
                    for v in self.jacobi_residual().ravel().tolist() if v)
-
-    def structure_constants(self):
-        """c[k, i, j] with [v_i, v_j] = sum_k c[k,i,j] v_k; c^k_ij = -(de^k)_ij."""
-        bk = self.bk
-        c = zeros((N_FORMS, N_FORMS, N_FORMS), bk)
-        for k in range(N_FORMS):
-            for (i, j), v in self.d[k].items():
-                c[k, i, j] = -v
-                c[k, j, i] = v
-        return c
 
     def jacobi_residual(self):
         """The 364 x 14 array of d(d e^k): row t holds the coefficients on the
         t-th triple i < j < l of itertools.combinations, column k those of
         d(d e^k).  For constant coefficients d^2 = 0 is the Jacobi identity,
         and entry [t, k] is the k-th component of the Jacobi sum
-        [[v_i, v_j], v_l] + cyclic.  Computed on the first call (d must not
-        change after it) and returned read-only."""
+        [[v_i, v_j], v_l] + cyclic.  By Leibniz, d(d e^k) = sum_{m,n}
+        d[k, m, n] de^m ^ e^n, so with the one product A[(k, n), (a, b)] =
+        sum_m d[k, m, n] d[m, a, b] over the pairs a < b, entry [t, k] is
+        A[(k,l),(i,j)] + A[(k,i),(j,l)] - A[(k,j),(i,l)].  Computed on the
+        first call and returned read-only."""
         if self._jacobi is None:
-            R = zeros((len(TRIPLES), N_FORMS), self.bk)
-            for k in range(N_FORMS):
-                for key, v in self.d_two_form(self.d[k]).items():
-                    R[TRIPLES[key], k] = v
-            R.flags.writeable = False
-            self._jacobi = R
+            d, n = self.d, N_FORMS
+            A = matmul(np.transpose(d, (0, 2, 1)).reshape(n * n, n), d[:, _A, _B])
+            A = A.reshape(n, n, len(PAIRS))
+            R = (A[:, _L, _PLACE[_I, _J]] + A[:, _I, _PLACE[_J, _L]]
+                 - A[:, _J, _PLACE[_I, _L]])
+            self._jacobi = frozen([R.T])[0]
         return self._jacobi
 
 
 def coframe_family(h, bk=EXACT):
     """The one-parameter family of coframe systems; h must be a real scalar
-    of the backend (for example bk.rational(-3, 2))."""
-    # Entries are read one at a time, so read them as Python scalars.
-    P = pmat(bk).tolist()
-    E = [Es.tolist() for Es in rep_w(bk)]
-    U = upsilons(bk)
+    of the backend (for example bk.rational(-3, 2)).  Each block below is
+    one term of the structure equations, the coefficients of e^i ^ e^j of
+    CoframeSystem; a block of pi on th ^ th or thb ^ thb names each pair
+    twice, in both orders, so it carries half the coefficient.
+
+    >>> cs = coframe_family(EXACT.rational(-3, 2))
+    >>> bool(cs.d[0, 1, 2] == -1), bool(cs.d[0, 2, 1] == 1)   # dpsi^1 = -psi^2 ^ psi^3 + ...
+    (True, True)
+    """
+    P = pmat(bk)
     i = bk.i
     half = bk.rational(1, 2)
-    d = {k: {} for k in range(N_FORMS)}
+    th, thb = slice(TH0, TH0 + 4), slice(TH0 + 4, N_FORMS)
+    I4 = eye(4, bk)
+    W = zeros((N_FORMS,) * 3, bk)
 
-    # sp(1) (+) sp(1) part.
-    cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for (s, j, k) in cyc:
-        _form_add(d[s], (j, k), -bk.one, bk)            # dpsi^s = -psi^j ^ psi^k + ...
-        _form_add(d[3 + s], (3 + j, 3 + k), -bk.one, bk)  # dphi^s = -phi^j ^ phi^k + ...
+    # sp(1) (+) sp(1) part: dpsi^s = -psi^j ^ psi^k + ..., dphi^s likewise.
+    for s, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        W[s, j, k] = W[3 + s, 3 + j, 3 + k] = -bk.one
 
     # Horizontal curvature terms, scaled by h.
-    hc = bk.conj(h)
-    for s in range(3):
-        D = ((U[s] @ pmat(bk)) * (bk.rational(-2, 3) * h)).tolist()
-        for a in range(4):
-            for b in range(4):
-                _form_add(d[s], (TH0 + a, TH0 + 4 + b), D[a][b], bk)
-    for a in range(4):
-        _form_add(d[3], (TH0 + a, TH0 + 4 + a), i * h, bk)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            _form_add(d[4], (TH0 + a, TH0 + b), h * P[a][b], bk)
-            _form_add(d[4], (TH0 + 4 + a, TH0 + 4 + b), hc * P[a][b], bk)
-            _form_add(d[5], (TH0 + a, TH0 + b), -(i * h) * P[a][b], bk)
-            _form_add(d[5], (TH0 + 4 + a, TH0 + 4 + b),
-                      bk.conj(-(i * h)) * P[a][b], bk)
+    for s, U in enumerate(upsilons(bk)):
+        W[s, th, thb] = (U @ P) * (bk.rational(-2, 3) * h)
+    W[3, th, thb] = I4 * (i * h)
+    W[4, th, th] = P * (h * half)
+    W[4, thb, thb] = P * (bk.conj(h) * half)
+    W[5, th, th] = P * (-(i * h) * half)
+    W[5, thb, thb] = P * (bk.conj(-(i * h)) * half)
 
     # Horizontal coframe: connection terms, the same for every h.
-    for a in range(4):
-        for b in range(4):
-            for s in range(3):
-                _form_add(d[TH0 + a], (s, TH0 + b), -E[s][a][b], bk)
-                _form_add(d[TH0 + 4 + a], (s, TH0 + 4 + b),
-                          -bk.conj(E[s][a][b]), bk)
-            _form_add(d[TH0 + a], (4, TH0 + 4 + b), half * P[a][b], bk)
-            _form_add(d[TH0 + a], (5, TH0 + 4 + b), (i * half) * P[a][b], bk)
-            _form_add(d[TH0 + 4 + a], (4, TH0 + b), half * P[a][b], bk)
-            _form_add(d[TH0 + 4 + a], (5, TH0 + b), -(i * half) * P[a][b], bk)
-        _form_add(d[TH0 + a], (3, TH0 + a), -(i * half), bk)
-        _form_add(d[TH0 + 4 + a], (3, TH0 + 4 + a), i * half, bk)
+    for s, E in enumerate(rep_w(bk)):
+        W[th, s, th] = -E
+        W[thb, s, thb] = -conj_arr(E, bk)
+    W[th, 3, th] = I4 * -(i * half)
+    W[thb, 3, thb] = I4 * (i * half)
+    W[th, 4, thb] = W[thb, 4, th] = P * half
+    W[th, 5, thb] = P * (i * half)
+    W[thb, 5, th] = P * -(i * half)
 
-    return CoframeSystem(d, bk, h=h)
+    return CoframeSystem(W, bk, h=h)
 
 
 def compact_model(bk=EXACT):
@@ -203,37 +151,28 @@ def split_model(bk=EXACT):
 # -- curvature -------------------------------------------------------------
 
 
-def _horizontal_two_form(cs, k):
-    """The 8x8 antisymmetric value matrix of (de^k) on the horizontal vectors."""
-    bk = cs.bk
-    M = zeros((8, 8), bk)
-    for (i, j), v in cs.d[k].items():
-        if i >= TH0 and j >= TH0:
-            M[i - TH0, j - TH0] = v
-            M[j - TH0, i - TH0] = -v
-    return M
-
-
 def curvature_tensor(cs):
     """R(x,y,z,w) on the horizontal space, fully lowered with g.
 
     The curvature operator is R(x,y) = sum_s dpsi^s(x,y) E_s
-    + sum_s dphi^s(x,y) J_s / 2, with E_s the frame endomorphisms.
+    + sum_s dphi^s(x,y) J_s / 2, with E_s the frame endomorphisms and
+    d[k, TH0:, TH0:] the value of de^k on the horizontal vectors.  Computed
+    once per coframe (its d is read-only) and held on it read-only.
     """
-    bk = cs.bk
-    g = g8mat(bk)
-    frames = script_e_frames(bk)
-    J = jmats(bk)
-    half = bk.rational(1, 2)
-    R = zeros((8, 8, 8, 8), bk)
-    for s in range(3):
-        om_psi = _horizontal_two_form(cs, s)
-        om_phi = _horizontal_two_form(cs, 3 + s)
-        low_e = frames[s].T @ g
-        low_j = (J[s] * half).T @ g
-        R = R + np.multiply.outer(om_psi, low_e)
-        R = R + np.multiply.outer(om_phi, low_j)
-    return R
+    if cs._curvature is None:
+        bk = cs.bk
+        g = g8mat(bk)
+        frames = script_e_frames(bk)
+        J = jmats(bk)
+        half = bk.rational(1, 2)
+        R = zeros((8, 8, 8, 8), bk)
+        for s in range(3):
+            low_e = frames[s].T @ g
+            low_j = (J[s] * half).T @ g
+            R = R + np.multiply.outer(cs.d[s, TH0:, TH0:], low_e)
+            R = R + np.multiply.outer(cs.d[3 + s, TH0:, TH0:], low_j)
+        cs._curvature = frozen([R])[0]
+    return cs._curvature
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +225,7 @@ def einstein_residual(R, bk):
 def c_parameter(cs):
     """The constant C with (dphi^1)_{alpha alphabar} = -2iC."""
     bk = cs.bk
-    v = cs.d[3].get((TH0, TH0 + 4), bk.zero)
-    return v * (bk.i * bk.rational(1, 2))
+    return cs.d[3, TH0, TH0 + 4] * (bk.i * bk.rational(1, 2))
 
 
 def scalar_curvature_report(cs):

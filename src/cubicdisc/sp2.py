@@ -127,15 +127,17 @@ def endo_matrix(fun, bk=EXACT):
 
 @lru_cache(maxsize=None)
 def structure_constants(bk=EXACT):
-    """c[k, i, j] with [D_i, D_j] = sum_k c[k, i, j] D_k in the dollar basis."""
-    return frozen([np.stack([endo_matrix(lambda X, A=A: bracket(A, X, bk), bk)
-                             for A in dollar_basis(bk)], axis=1)])[0]
+    """c[k, i, j] with [D_i, D_j] = sum_k c[k, i, j] D_k in the dollar basis,
+    held split (tensors.split), so no contraction with it splits it again."""
+    return split(np.stack([endo_matrix(lambda X, A=A: bracket(A, X, bk), bk)
+                           for A in dollar_basis(bk)], axis=1), bk)
 
 
 def ad(X, bk=EXACT):
     """The 10x10 matrix of [X, .] in the dollar basis: sum_i c[k, i, j] x_i,
     x = dollar_coords(X).  Further axes of X follow k, j in the result."""
-    return tensordot(structure_constants(bk), dollar_coords(X, bk), ([1], [0]))
+    return asarray(tensordot(structure_constants(bk), dollar_coords(X, bk),
+                             ([1], [0])), bk)
 
 
 @lru_cache(maxsize=None)

@@ -45,9 +45,11 @@ def test_cached_functions_are_found():
 
 
 def test_split_kernels_are_held_split():
-    # The dagger kernel and the constant terms of the quartic conditions
-    # are cached in split form, so no call splits them again.
-    assert isinstance(cached_functions()["sp2._dagger_kernel"](EXACT), ExactArray)
+    # The dagger kernel, the structure constants of sp(2) and the constant
+    # terms of the quartic conditions are cached in split form, so no call
+    # splits them again.
+    for name in ("sp2._dagger_kernel", "sp2.structure_constants"):
+        assert isinstance(cached_functions()[name](EXACT), ExactArray), name
     for A in cached_functions()["orbit._compact_terms"](EXACT)[:2]:
         assert isinstance(A, ExactArray)
 

@@ -3,10 +3,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.tensors import zeros
 from cubicdisc import jsonio, irrep, hk, models, orbit
 
 bk = EXACT
@@ -61,10 +63,8 @@ def test_coframe_roundtrip():
     text = jsonio.dumps(cs)
     back = jsonio.loads(text, bk)
     assert back.h == cs.h
-    for k in range(models.N_FORMS):
-        assert set(back.d[k]) == set(cs.d[k])
-        for key in cs.d[k]:
-            assert back.d[k][key] == cs.d[k][key]
+    assert np.array_equal(back.d.astype(bool), cs.d.astype(bool))
+    assert (back.d == cs.d).all()
     assert back.is_closed()
 
 
@@ -164,5 +164,33 @@ def test_malformed_coframe_names_the_component(payload, names):
 def test_reversed_coframe_row_loads_as_sorted_row_negated():
     two = {"a": "2", "b": "0", "c": "0", "d": "0"}
     cs = jsonio.loads(_coframe(d={"psi1": [["th2", "th1", two]]}), bk)
-    assert cs.d[0] == {(models.TH0, models.TH0 + 1): bk.rational(-2)}
-    assert jsonio.loads(jsonio.dumps(cs), bk).d[0] == cs.d[0]
+    expect = zeros((models.N_FORMS, models.N_FORMS), bk)
+    expect[models.TH0, models.TH0 + 1] = bk.rational(-2)
+    expect[models.TH0 + 1, models.TH0] = bk.rational(2)
+    assert (cs.d[0] == expect).all()
+    assert not cs.d[1:].astype(bool).any()
+    assert (jsonio.loads(jsonio.dumps(cs), bk).d[0] == cs.d[0]).all()
+
+
+def test_rows_on_one_pair_add_up():
+    two = {"a": "2", "b": "0", "c": "0", "d": "0"}
+    cs = jsonio.loads(_coframe(d={"psi1": [["th1", "th2", two], ["th2", "th1", ONE],
+                                           ["th1", "th2", ONE]]}), bk)
+    assert cs.d[0, models.TH0, models.TH0 + 1] == bk.rational(2)
+    assert cs.d[0, models.TH0 + 1, models.TH0] == bk.rational(-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), backend=st.sampled_from([EXACT, FLOAT]))
+@example(seed=0, backend=EXACT)
+@example(seed=0, backend=FLOAT)
+def test_cayley_transported_points_roundtrip(seed, backend):
+    # K on the orbit of kappa(S_hat), with the wide coefficients a Cayley
+    # transport gives, and its quartic: equal after a round trip, exactly on
+    # exact and within tol on float (the backend's == in both cases).
+    M = orbit.cayley_sp2(orbit.random_sp2(seed, backend), backend)
+    K = orbit.transport_hk(hk.kappa(irrep.s_hat(backend)), M)
+    for obj in (K, K.quartic()):
+        back = jsonio.loads(jsonio.dumps(obj), backend)
+        assert type(back) is type(obj)
+        assert back == obj

@@ -8,15 +8,15 @@ import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT
 from cubicdisc.tensors import frob, all_zero, g8mat, zeros, asarray
-from cubicdisc import models, irrep, hk
+from cubicdisc import models, irrep, hk, jsonio
 
 bk = EXACT
 
 
 def dense_jacobi(cs):
     """Reference route: the Jacobi sum [[v_i, v_j], v_l] + cyclic for every
-    triple i < j < l, from the dense structure constants."""
-    c = cs.structure_constants()
+    triple i < j < l, from the structure constants c = -d."""
+    c = -cs.d
     rows = []
     for i, j, k in itertools.combinations(range(models.N_FORMS), 3):
         res = zeros((models.N_FORMS,), cs.bk)
@@ -27,18 +27,26 @@ def dense_jacobi(cs):
 
 
 def random_coframe(seed):
-    """A coframe with random small integer 2-forms; d^2 != 0 for it."""
+    """A coframe with six random terms in each de^k, each on a pair in
+    random order, with small integer coefficients of 1, i, sqrt(3) and
+    i sqrt(3); d^2 != 0 for it."""
     rng = random.Random(seed)
-    d = {}
+    terms = zeros((models.N_FORMS,) * 3, bk)
     for k in range(models.N_FORMS):
-        pairs = rng.sample(list(itertools.combinations(range(models.N_FORMS), 2)), 6)
-        d[k] = {p: bk.scalar(rng.randint(1, 3), rng.randint(-2, 2)) for p in pairs}
-    return models.CoframeSystem(d, bk)
+        for i, j in rng.sample(models.PAIRS, 6):
+            i, j = (j, i) if rng.random() < 0.5 else (i, j)
+            terms[k, i, j] = bk.scalar(rng.randint(1, 3),
+                                       *(rng.randint(-2, 2) for _ in range(3)))
+    return models.CoframeSystem(terms, bk)
 
 
-@pytest.mark.parametrize("make", [models.compact_model, models.split_model,
-                                  lambda bk: random_coframe(3)],
-                         ids=["compact", "split", "random"])
+RANDOM_SEEDS = (3, 5, 8, 13)
+
+
+@pytest.mark.parametrize("make", [models.compact_model, models.split_model]
+                         + [lambda bk, s=s: random_coframe(s) for s in RANDOM_SEEDS],
+                         ids=["compact", "split", "random"]      # random: seed 3
+                         + ["random%d" % s for s in RANDOM_SEEDS[1:]])
 def test_jacobi_residual_matches_dense_reference(make):
     cs = make(bk)
     sparse = cs.jacobi_residual()
@@ -48,6 +56,34 @@ def test_jacobi_residual_matches_dense_reference(make):
     nonzero = sum(1 for x in dense.flat if x)
     assert (nonzero > 0) == (cs.h is None)
     assert cs.is_closed() == (cs.h is not None)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_coframe_roundtrips_through_json(seed):
+    cs = random_coframe(seed)
+    back = jsonio.loads(jsonio.dumps(cs), bk)
+    assert back.h is None
+    assert (back.d == cs.d).all()
+    assert (back.jacobi_residual() == cs.jacobi_residual()).all()
+
+
+def _members_and_payloads():
+    for backend in (EXACT, FLOAT):
+        for h in ((-3, 2), (0, 1), (3, 2), (1, 1)):
+            cs = models.coframe_family(backend.rational(*h), backend)
+            yield cs
+            yield jsonio.loads(jsonio.dumps(cs), backend)
+    for seed in RANDOM_SEEDS:
+        yield jsonio.loads(jsonio.dumps(random_coframe(seed)), bk)
+
+
+def test_d_is_read_only_and_antisymmetric():
+    for cs in _members_and_payloads():
+        assert cs.d.shape == (models.N_FORMS,) * 3
+        assert not cs.d.flags.writeable
+        with pytest.raises(ValueError):
+            cs.d[0, 1, 2] = cs.bk.one
+        assert (cs.d == -np.swapaxes(cs.d, 1, 2)).all()
 
 
 def test_family_members_are_closed():
@@ -60,8 +96,7 @@ def test_float_family_keeps_the_exact_entries():
     for h in ((1, 1), (-3, 2)):
         exact = models.coframe_family(EXACT.rational(*h), EXACT)
         shadow = models.coframe_family(FLOAT.rational(*h), FLOAT)
-        for k in range(models.N_FORMS):
-            assert set(shadow.d[k]) == set(exact.d[k])
+        assert np.array_equal(shadow.d != 0, exact.d.astype(bool))
 
 
 def test_jacobi_identity_both_models():
@@ -73,7 +108,7 @@ def test_jacobi_identity_both_models():
 
 def test_sp1_brackets_in_lie_table():
     cs = models.compact_model(bk)
-    c = cs.structure_constants()
+    c = -cs.d
     # [psi1, psi2] = psi3 and the psi / phi factors commute.
     assert c[2, 0, 1] == bk.one
     for k in range(models.N_FORMS):
@@ -84,7 +119,7 @@ def test_sp1_brackets_in_lie_table():
 
 def test_horizontal_adjoint_actions():
     cs = models.compact_model(bk)
-    c = cs.structure_constants()
+    c = -cs.d
     E = irrep.rep_w(bk)
     # ad(psi_s) acts on the unbarred horizontal block by E_s.
     for s in range(3):
@@ -99,6 +134,15 @@ def test_horizontal_adjoint_actions():
             for b in range(8):
                 v = c[models.TH0 + a, 3 + s, models.TH0 + b] * bk.rational(2)
                 assert v == J[s][a, b]
+
+
+def test_curvature_is_computed_once_and_read_only(monkeypatch):
+    cs = models.compact_model(bk)
+    R = models.curvature_tensor(cs)
+    assert not R.flags.writeable
+    monkeypatch.setattr(models, "script_e_frames", None)   # no second build
+    assert models.curvature_tensor(cs) is R
+    assert all_zero(models.model_curvature_residual(cs), bk, scale=100.0)
 
 
 def test_flat_model_has_zero_curvature():

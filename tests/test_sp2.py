@@ -99,7 +99,7 @@ def test_endo_is_real():
 
 def test_structure_constants_reproduce_bracket():
     D = sp2.dollar_basis(bk)
-    c = sp2.structure_constants(bk)
+    c = asarray(sp2.structure_constants(bk), bk)
     for i in range(10):
         for j in range(10):
             expect = sp2.bracket(D[i], D[j], bk)

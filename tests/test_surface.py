@@ -28,8 +28,6 @@ ALLOWED = {
     "hk.hk_from_endo": "reference route: K back from T_K",
     "hk.tangent_H_from_contraction": "reference route: H by double contraction",
     "irrep.module_56": "reference route: the 56-dimensional torsion carrier",
-    "models.CoframeSystem.structure_constants":
-        "reference route: the dense Lie table behind the Jacobi test",
     # tracer targets of perfbench/tracer.py
     "linalg.rref": "tracer target",
 }
