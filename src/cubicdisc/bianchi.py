@@ -1,181 +1,123 @@
-"""The linear constraint system forcing the one-parameter coframe family.
+"""The first Bianchi identity as a linear system, and its solution line.
 
-Closure of the coframe differentials is equivalent to four families of
-equations (split by barred-index type) in the unknown curvature coefficient
-matrices: C^s, F^s antisymmetric and D^s, G^s anti-Hermitian, s = 1..3.
-The system splits into two independent stages; the first admits only the
-zero solution, the second a single line, parameterized by h, with
+Write the exterior derivative of a family member as d = A + X: A is the flat
+member `coframe_family(0).d` (the sp(1) (+) sp(1) brackets and the connection
+terms d[k, m, n], k and n horizontal, m < 6), X the curvature, the blocks
+d[m, a, b] with m < 6 and a, b horizontal.  The first Bianchi identity is the
+horizontal part of d^2 = 0 (Kobayashi and Nomizu, Foundations of Differential
+Geometry I, 1963, ch. III 5; Bryant et al., Exterior Differential Systems,
+1991, ch. I).  There A.A and X.X vanish, so on the rows k = th1..th4 it is
+linear in X, one `models.leibniz_sum`:
+
+    R[k, (n<a<b)] = cyclic sum over (n, a, b) of sum_{m<6} A[k, m, n] X[m, a, b].
+
+For a real X the thb rows are the conjugates of these.  Each real unknown is a
+block of X as `coframe_family` writes it: complex antisymmetric on th ^ th
+with its conjugate on thb ^ thb (C^s on dpsi^s, F^s on dphi^s), or
+anti-Hermitian on th ^ thb (D^s, G^s).  Stage one, {C^s, F1, G2, G3}, has
+only the zero solution; stage two, {D^s, F2, F3, G1}, the line
 
     F2 = h P,  F3 = -i h P,  D^s = -(2h/3) Upsilon_s P,  G1 = i h Id.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, conj_arr, pmat, eye
+from .tensors import zeros, asarray, matmul, conj_arr, pmat, eye
 from .irrep import upsilons
 from .linalg import SparseEliminator
+from .models import TH0, coframe_family, leibniz_sum
+
+# The unknown blocks (m, kind) of X in column order: kind TH is th ^ th,
+# MIX is th ^ thb.  Horizontal index 0..3 is th, 4..7 is thb.
+TH, MIX = "th^th", "th^thb"
+STAGE_ONE = ((0, TH), (1, TH), (2, TH), (3, TH), (4, MIX), (5, MIX))   # C^s, F1, G2, G3
+STAGE_TWO = ((0, MIX), (1, MIX), (2, MIX), (3, MIX), (4, TH), (5, TH))  # D^s, G1, F2, F3
 
 
-def _threeterm(U, M):
-    """T[a,b,c,d] = U[a,b]M[c,d] + U[a,c]M[d,b] + U[a,d]M[b,c]."""
-    t = np.multiply.outer(U, M)
-    return t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
-
-
-def cf_type_1(C, F1, bk):
-    """Residual of the all-unbarred equation family."""
-    P = pmat(bk)
-    out = zeros((4, 4, 4, 4), bk)
-    for s in range(3):
-        out = out + _threeterm(upsilons(bk)[s], C[s])
-    return out - _threeterm(P, F1) * (bk.i * bk.rational(1, 2))
-
-
-def cf_type_3(C, F1, G2, G3, bk):
-    """Residual of the two-bars equation family."""
-    P = pmat(bk)
-    I = eye(4, bk)
-    half = bk.rational(1, 2)
-    out = zeros((4, 4, 4, 4), bk)
-    for s in range(3):
-        out = out + np.multiply.outer(upsilons(bk)[s], conj_arr(C[s], bk))
-    out = out - np.multiply.outer(P, conj_arr(F1, bk)) * (bk.i * half)
-    G23 = G2 + G3 * bk.i
-    t = np.multiply.outer(I, G23)
-    out = out - np.transpose(t, (0, 2, 3, 1)) * half   # delta[a,d] G23[b,c]
-    out = out + np.transpose(t, (0, 2, 1, 3)) * half   # delta[a,c] G23[b,d]
-    return out
-
-
-def cf_type_2(D, F2, F3, G1, bk):
-    """Residual of the one-bar equation family."""
-    P = pmat(bk)
-    I = eye(4, bk)
-    half = bk.rational(1, 2)
-    out = zeros((4, 4, 4, 4), bk)
-    for s in range(3):
-        t = np.multiply.outer(upsilons(bk)[s], D[s])
-        out = out + t - np.transpose(t, (0, 2, 1, 3))
-    F23 = F2 + F3 * bk.i
-    tf = np.multiply.outer(I, F23)
-    out = out - np.transpose(tf, (0, 2, 3, 1)) * half
-    tg = np.multiply.outer(P, G1)
-    out = out - (tg - np.transpose(tg, (0, 2, 1, 3))) * (bk.i * half)
-    return out
-
-
-def cf_type_4(F2, F3, bk):
-    """Residual of the three-bars equation family."""
-    I = eye(4, bk)
-    F23c = conj_arr(F2, bk) + conj_arr(F3, bk) * bk.i
-    return _threeterm(I, F23c)
-
-
-# -- unknown parameterization ----------------------------------------------
+def _entry_pair(a, b, x, y, bk):
+    """The 4x4 matrix with x at [a, b] and y at [b, a]."""
+    M = zeros((4, 4), bk)
+    M[a, b], M[b, a] = x, y
+    return M
 
 
 def antisym_basis(bk):
     """Real basis (12 matrices) of complex antisymmetric 4x4 matrices."""
-    out = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            M = zeros((4, 4), bk)
-            M[a, b] = bk.one
-            M[b, a] = -bk.one
-            out.append(M)
-            N = zeros((4, 4), bk)
-            N[a, b] = bk.i
-            N[b, a] = -bk.i
-            out.append(N)
-    return out
+    return [_entry_pair(a, b, x, -x, bk) for a in range(4) for b in range(a + 1, 4)
+            for x in (bk.one, bk.i)]
 
 
 def antiherm_basis(bk):
-    """Real basis (16 matrices) of anti-Hermitian 4x4 matrices."""
-    out = []
-    for a in range(4):
-        M = zeros((4, 4), bk)
-        M[a, a] = bk.i
-        out.append(M)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            M = zeros((4, 4), bk)
-            M[a, b] = bk.one
-            M[b, a] = -bk.one
-            out.append(M)
-            N = zeros((4, 4), bk)
-            N[a, b] = bk.i
-            N[b, a] = bk.i
-            out.append(N)
-    return out
+    """Real basis (16 matrices) of anti-Hermitian 4x4 matrices: i on one
+    diagonal entry, then a real antisymmetric or an imaginary symmetric pair."""
+    return ([_entry_pair(a, a, bk.i, bk.i, bk) for a in range(4)]
+            + [_entry_pair(a, b, x, y, bk) for a in range(4) for b in range(a + 1, 4)
+               for x, y in ((bk.one, -bk.one), (bk.i, bk.i))])
 
 
-def _zero4(bk):
-    return zeros((4, 4), bk)
+def _columns(blocks, bk):
+    """One X per real unknown of `blocks`, stacked on a last axis (6 x 8 x 8 x
+    unknowns), written on the pairs a < b that `first_bianchi_residual` reads."""
+    cols = []
+    for m, kind in blocks:
+        for M in antisym_basis(bk) if kind == TH else antiherm_basis(bk):
+            X = zeros((6, 8, 8), bk)
+            if kind == TH:
+                X[m, :4, :4], X[m, 4:, 4:] = M, conj_arr(M, bk)
+            else:
+                X[m, :4, 4:] = M
+            cols.append(X)
+    return np.stack(cols, axis=-1)
 
 
-def _nullspace_of_columns(column_tensors, bk):
-    """Real nullspace of the linear system whose k-th column is the list of
-    residual tensors produced by unit value of unknown k."""
+@lru_cache(maxsize=None)
+def _connection(bk):
+    """The flat member's connection A[k, m, n]: k = th1..th4, m < 6, n horizontal."""
+    return coframe_family(bk.zero, bk).d[TH0:TH0 + 4, :6, TH0:]
+
+
+def first_bianchi_residual(X, bk):
+    """The horizontal part R[k, t, ...] of d^2 for d = A + X, on the rows
+    k = th1..th4 and the horizontal triples t in itertools order: X[m, a, b,
+    ...] is read on a < b, and any trailing axes are carried along.
+
+    >>> from cubicdisc.tensors import all_zero
+    >>> X = coframe_family(EXACT.one).d[:6, TH0:, TH0:].copy()
+    >>> all_zero(first_bianchi_residual(X, EXACT), EXACT)
+    True
+    >>> X[4, 0, 2] = X[4, 0, 2] + EXACT.one     # F2[1,3] = 1 -> 2
+    >>> all_zero(first_bianchi_residual(X, EXACT), EXACT)
+    False
+    """
+    return leibniz_sum(_connection(bk), X)
+
+
+def _nullspace(blocks, bk):
+    """Real nullspace over the unknowns of `blocks`, a row per real and per
+    imaginary part of a residual entry.  The residual is taken per block and
+    read per row, so that its float intermediates stay small."""
+    R = np.concatenate([first_bianchi_residual(_columns([b], bk), bk) for b in blocks], -1)
     rows = []
-    for t in range(len(column_tensors[0])):
-        M = np.stack([asarray(col[t], bk).ravel() for col in column_tensors], 1)
-        for m in M:
-            entries = m.tolist()    # one row at a time keeps the peak small
-            for part in (bk.re, bk.im):
-                row = {k: p for k, v in enumerate(entries) if v and (p := part(v))}
-                if row:
-                    rows.append(row)
-    return SparseEliminator(rows, len(column_tensors), bk).nullspace()
+    for entries in R.reshape(-1, R.shape[-1]):
+        entries = entries.tolist()
+        for part in (bk.re, bk.im):
+            row = {c: p for c, v in enumerate(entries) if v and (p := part(v))}
+            if row:
+                rows.append(row)
+    return SparseEliminator(rows, R.shape[-1], bk).nullspace()
 
 
 def stage_one_nullspace(bk=EXACT):
-    """Solutions of the {all-unbarred, two-bars} equations; expected empty."""
-    asym = antisym_basis(bk)
-    aherm = antiherm_basis(bk)
-    Z = _zero4(bk)
-    cols = []
-    for s in range(3):
-        for M in asym:
-            C = [Z, Z, Z]
-            C[s] = M
-            cols.append([cf_type_1(C, Z, bk), cf_type_3(C, Z, Z, Z, bk)])
-    for M in asym:     # F1
-        cols.append([cf_type_1([Z, Z, Z], M, bk),
-                     cf_type_3([Z, Z, Z], M, Z, Z, bk)])
-    for M in aherm:    # G2
-        cols.append([zeros((4, 4, 4, 4), bk),
-                     cf_type_3([Z, Z, Z], Z, M, Z, bk)])
-    for M in aherm:    # G3
-        cols.append([zeros((4, 4, 4, 4), bk),
-                     cf_type_3([Z, Z, Z], Z, Z, M, bk)])
-    return _nullspace_of_columns(cols, bk)
-
-
-# The stage-two unknowns in column order; F2 and F3 are antisymmetric, the
-# others anti-Hermitian.
-STAGE_TWO = ("D1", "D2", "D3", "F2", "F3", "G1")
-
-
-def _stage_two_columns(bk):
-    """(unknown, real basis matrix) for each stage-two column, in order."""
-    asym = antisym_basis(bk)
-    aherm = antiherm_basis(bk)
-    return [(name, M) for name in STAGE_TWO
-            for M in (asym if name in ("F2", "F3") else aherm)]
+    """Solutions over {C^s, F1, G2, G3}; expected empty."""
+    return _nullspace(STAGE_ONE, bk)
 
 
 def stage_two_nullspace(bk=EXACT):
-    """Solutions of the {one-bar, three-bars} equations; expected 1-dimensional."""
-    cols = []
-    for name, M in _stage_two_columns(bk):
-        x = dict.fromkeys(STAGE_TWO, _zero4(bk))
-        x[name] = M
-        cols.append([cf_type_2([x["D1"], x["D2"], x["D3"]], x["F2"], x["F3"],
-                               x["G1"], bk),
-                     cf_type_4(x["F2"], x["F3"], bk)])
-    return _nullspace_of_columns(cols, bk)
+    """Solutions over {D^s, F2, F3, G1}; expected 1-dimensional."""
+    return _nullspace(STAGE_TWO, bk)
 
 
 class FirstBianchiSolution:
@@ -191,17 +133,15 @@ class FirstBianchiSolution:
 
     def _extract(self, vec):
         bk = self.bk
-        x = dict.fromkeys(STAGE_TWO, _zero4(bk))
-        for (name, B), c in zip(_stage_two_columns(bk), vec):
-            x[name] = x[name] + B * c
-        scale = x["F2"][0, 2]
+        cols = _columns(STAGE_TWO, bk)
+        X = matmul(cols.reshape(-1, len(vec)), asarray([vec], bk).T).reshape(cols.shape[:3])
+        scale = X[4, 0, 2]      # F2[1,3] = d[4, TH0, TH0 + 2]
         if not scale:
             raise ValueError("cannot normalize: F2[1,3] vanishes on the solution line")
-        inv = bk.one / scale
-        self.D = [x["D%d" % s] * inv for s in (1, 2, 3)]
-        self.F2 = x["F2"] * inv
-        self.F3 = x["F3"] * inv
-        self.G1 = x["G1"] * inv
+        X = X * (bk.one / scale)
+        self.D = [X[s, :4, 4:] for s in range(3)]
+        self.G1 = X[3, :4, 4:]
+        self.F2, self.F3 = X[4, :4, :4], X[5, :4, :4]
 
     def structure_residuals(self):
         """Residual arrays of the normalized solution against the closed form

@@ -27,13 +27,29 @@ N_FORMS = 14
 LABELS = ["psi1", "psi2", "psi3", "phi1", "phi2", "phi3",
           "th1", "th2", "th3", "th4", "th1b", "th2b", "th3b", "th4b"]
 TH0 = 6    # th_alpha = TH0 + alpha, thbar_alpha = TH0 + 4 + alpha
-# The pairs i < j and the triples i < j < l in itertools order: the columns
-# of the product in CoframeSystem.jacobi_residual and the rows of its result.
 PAIRS = list(itertools.combinations(range(N_FORMS), 2))
-_A, _B = np.array(PAIRS).T
-_PLACE = np.zeros((N_FORMS, N_FORMS), dtype=int)    # the place of (a, b) in PAIRS
-_PLACE[_A, _B] = range(len(PAIRS))
-_I, _J, _L = np.array(list(itertools.combinations(range(N_FORMS), 3))).T
+
+
+def _wedge_index(n):
+    """For 1-forms e^0..e^(n-1): the pairs a < b and the triples i < j < l in
+    itertools order, and place[a, b], the place of (a, b) among the pairs."""
+    a, b = np.array(list(itertools.combinations(range(n), 2))).T
+    place = np.zeros((n, n), dtype=int)
+    place[a, b] = range(len(a))
+    return a, b, place, *np.array(list(itertools.combinations(range(n), 3))).T
+
+
+def leibniz_sum(C, F):
+    """The 3-forms sum_{m,n} C[k, m, n] F[m] ^ e^n, a row per k, on the triples
+    i < j < l of N 1-forms: C is K x M x N and F[m, a, b, ...] holds M 2-forms,
+    read on the pairs a < b, with any trailing axes carried along.  With the
+    one product A[(k, n), (a, b)] = sum_m C[k, m, n] F[m, a, b], row k on
+    (i, j, l) is A[(k,l),(i,j)] + A[(k,i),(j,l)] - A[(k,j),(i,l)]."""
+    (K, M, N), rest = C.shape, F.shape[3:]
+    a, b, place, i, j, l = _wedge_index(N)
+    A = matmul(np.transpose(C, (0, 2, 1)).reshape(K * N, M), F[:, a, b].reshape(M, -1))
+    A = A.reshape(K, N, len(a), *rest)
+    return A[:, l, place[i, j]] + A[:, i, place[j, l]] - A[:, j, place[i, l]]
 
 
 def _largest(A, bk):
@@ -82,17 +98,10 @@ class CoframeSystem:
         d(d e^k).  For constant coefficients d^2 = 0 is the Jacobi identity,
         and entry [t, k] is the k-th component of the Jacobi sum
         [[v_i, v_j], v_l] + cyclic.  By Leibniz, d(d e^k) = sum_{m,n}
-        d[k, m, n] de^m ^ e^n, so with the one product A[(k, n), (a, b)] =
-        sum_m d[k, m, n] d[m, a, b] over the pairs a < b, entry [t, k] is
-        A[(k,l),(i,j)] + A[(k,i),(j,l)] - A[(k,j),(i,l)].  Computed on the
-        first call and returned read-only."""
+        d[k, m, n] de^m ^ e^n, which is `leibniz_sum(d, d)`.  Computed on
+        the first call and returned read-only."""
         if self._jacobi is None:
-            d, n = self.d, N_FORMS
-            A = matmul(np.transpose(d, (0, 2, 1)).reshape(n * n, n), d[:, _A, _B])
-            A = A.reshape(n, n, len(PAIRS))
-            R = (A[:, _L, _PLACE[_I, _J]] + A[:, _I, _PLACE[_J, _L]]
-                 - A[:, _J, _PLACE[_I, _L]])
-            self._jacobi = frozen([R.T])[0]
+            self._jacobi = frozen([leibniz_sum(self.d, self.d).T])[0]
         return self._jacobi
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from cubicdisc.scalars import EXACT
 from cubicdisc.tensors import zeros, eye, pmat, g8mat, frob, all_zero
-from cubicdisc import sp2, irrep, hk, orbit, models, bianchi, suites
+from cubicdisc import sp2, irrep, hk, orbit, models, suites
 
 bk = EXACT
 
@@ -164,12 +164,12 @@ def test_criterion_08_homogeneous_models():
 
 
 def test_criterion_09_constraint_system():
-    sol = bianchi.FirstBianchiSolution(bk)
-    ok = len(sol.stage_one) == 0 and len(sol.stage_two) == 1
-    ok = ok and all(all_zero(r, bk, scale=10.0)
-                    for r in sol.structure_residuals().values())
+    checks = {c.name: c for c in suites.run_suite("bianchi", backend="exact")}
+    ok = all(checks[n].passed for n in ("stage_one_trivial", "stage_two_line",
+                                        "solution_structure"))
     _report(9, "constraint system has exactly the one-parameter line", ok,
-            "stage1=%d stage2=%d" % (len(sol.stage_one), len(sol.stage_two)))
+            "stage1=%s stage2=%s" % tuple(checks[n].info.removeprefix("dim=")
+                                          for n in ("stage_one_trivial", "stage_two_line")))
 
 
 def test_criterion_10_casimir_decomposition():

@@ -1,9 +1,16 @@
-"""The differential constraint system and its one-parameter solution line."""
+"""The first Bianchi system (d^2 = 0 on the curvature blocks) and its
+one-parameter solution line."""
 
-from cubicdisc.scalars import EXACT
-from cubicdisc.tensors import zeros, pmat, eye, frob, all_zero
-from cubicdisc import bianchi
+import itertools
+import random
+
+import pytest
+
+from cubicdisc.scalars import EXACT, FLOAT
+from cubicdisc.tensors import zeros, pmat, eye, frob, all_zero, conj_arr
+from cubicdisc import bianchi, models
 from cubicdisc.irrep import upsilons
+from cubicdisc.models import TH0
 
 bk = EXACT
 
@@ -17,27 +24,31 @@ def closed_form(h):
     return D, F2, F3, G1
 
 
+def as_x(D, F2, F3, G1, bk=bk):
+    """The curvature blocks X[m, a, b] of the stage-two unknowns; the
+    stage-one unknowns are zero."""
+    X = zeros((6, 8, 8), bk)
+    for m, M in enumerate(D + [G1]):
+        X[m, :4, 4:], X[m, 4:, :4] = M, -M.T
+    for m, M in ((4, F2), (5, F3)):
+        X[m, :4, :4], X[m, 4:, 4:] = M, conj_arr(M, bk)
+    return X
+
+
 def test_closed_form_solves_stage_two():
-    h = bk.rational(5, 7)
-    D, F2, F3, G1 = closed_form(h)
-    assert all_zero(bianchi.cf_type_2(D, F2, F3, G1, bk), bk, scale=10.0)
-    assert all_zero(bianchi.cf_type_4(F2, F3, bk), bk, scale=10.0)
+    X = as_x(*closed_form(bk.rational(5, 7)))
+    assert all_zero(bianchi.first_bianchi_residual(X, bk), bk, scale=10.0)
 
 
 def test_zero_solves_stage_one():
-    Z = zeros((4, 4), bk)
-    assert all_zero(bianchi.cf_type_1([Z, Z, Z], Z, bk), bk)
-    assert all_zero(bianchi.cf_type_3([Z, Z, Z], Z, Z, Z, bk), bk)
+    assert all_zero(bianchi.first_bianchi_residual(zeros((6, 8, 8), bk), bk), bk)
 
 
 def test_nonsolution_has_residual():
-    Z = zeros((4, 4), bk)
-    C = [Z, Z, Z]
-    M = zeros((4, 4), bk)
-    M[0, 1] = bk.one
-    M[1, 0] = -bk.one
-    C[0] = M
-    assert frob(bianchi.cf_type_1(C, Z, bk), bk) > 0
+    X = zeros((6, 8, 8), bk)       # one entry of C^1 and its conjugate
+    X[0, 0, 1], X[0, 1, 0] = bk.one, -bk.one
+    X[0, 4, 5], X[0, 5, 4] = bk.one, -bk.one
+    assert frob(bianchi.first_bianchi_residual(X, bk), bk) > 0
 
 
 def test_unknown_bases_have_expected_sizes():
@@ -45,7 +56,6 @@ def test_unknown_bases_have_expected_sizes():
     assert len(bianchi.antiherm_basis(bk)) == 16
     for M in bianchi.antisym_basis(bk):
         assert all_zero(M + M.T, bk)
-    from cubicdisc.tensors import conj_arr
     for M in bianchi.antiherm_basis(bk):
         assert all_zero(M + conj_arr(M, bk).T, bk)
 
@@ -57,3 +67,63 @@ def test_full_system_solution():
     res = sol.structure_residuals()
     assert set(res) == {"F2", "F3", "G1", "D1", "D2", "D3"}
     assert all(all_zero(r, bk) for r in res.values())
+
+
+# -- the residual is the horizontal part of d^2 = 0 ---------------------------
+
+
+def random_x(seed):
+    """Curvature blocks with eight random antisymmetric pairs in each de^m,
+    small integer coefficients of 1, i, sqrt(3) and i sqrt(3)."""
+    rng = random.Random(seed)
+    X = zeros((6, 8, 8), bk)
+    for m in range(6):
+        for a, b in rng.sample(list(itertools.combinations(range(8), 2)), 8):
+            x = bk.scalar(*(rng.randint(-2, 2) for _ in range(4)))
+            X[m, a, b], X[m, b, a] = X[m, a, b] + x, X[m, b, a] - x
+    return X
+
+
+def with_curvature(X):
+    """The coframe with the flat member's connection and curvature X."""
+    d = models.coframe_family(bk.zero, bk).d.copy()
+    d[:6, TH0:, TH0:] = X
+    return models.CoframeSystem(d * bk.rational(1, 2), bk)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_residual_is_the_horizontal_part_of_d_squared(seed):
+    X = random_x(seed)
+    jac = with_curvature(X).jacobi_residual()
+    horizontal = [t for t, triple in enumerate(itertools.combinations(range(14), 3))
+                  if min(triple) >= TH0]
+    R = bianchi.first_bianchi_residual(X, bk)
+    assert R.shape == (4, 56)
+    assert frob(R, bk) > 0
+    assert (R == jac[horizontal, TH0:TH0 + 4].T).all()
+    # the thb rows too, by the same product on the full connection block
+    A = models.coframe_family(bk.zero, bk).d[TH0:, :6, TH0:]
+    assert (models.leibniz_sum(A, X) == jac[horizontal, TH0:].T).all()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("h", [(-3, 2), (0, 1), (3, 2), (1, 1)])
+def test_family_members_solve_the_system(backend, h):
+    X = models.coframe_family(backend.rational(*h), backend).d[:6, TH0:, TH0:]
+    assert all_zero(bianchi.first_bianchi_residual(X, backend), backend, scale=10.0)
+
+
+def test_all_168_unknowns_together_have_one_solution():
+    blocks = bianchi.STAGE_ONE + bianchi.STAGE_TWO
+    assert bianchi._columns(blocks, bk).shape[-1] == 168
+    assert len(bianchi._nullspace(blocks, bk)) == 1
+
+
+def test_thb_rows_add_no_equation(monkeypatch):
+    A = models.coframe_family(bk.zero, bk).d[TH0:, :6, TH0:]
+    X = bianchi._columns(bianchi.STAGE_TWO, bk)
+    assert models.leibniz_sum(A, X).shape == (8, 56, 88)
+    monkeypatch.setattr(bianchi, "first_bianchi_residual",
+                        lambda X, bk: models.leibniz_sum(A, X))
+    assert len(bianchi.stage_one_nullspace(bk)) == 0
+    assert len(bianchi.stage_two_nullspace(bk)) == 1

@@ -82,6 +82,29 @@ def test_solution_structure_fails_on_tiny_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_stage_one_trivial_fails_on_a_repeated_unknown(monkeypatch, bk):
+    # C^1 twice: its 12 real unknowns each get a duplicate column.
+    monkeypatch.setattr(bianchi, "STAGE_ONE", bianchi.STAGE_ONE + bianchi.STAGE_ONE[:1])
+    checks = suites.run_bianchi(bk)
+    assert [c.name for c in checks if not c.passed] == ["stage_one_trivial"]
+    assert _check(checks, "stage_one_trivial").info == "dim=12"
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+def test_stage_two_line_fails_on_a_perturbed_connection(monkeypatch, bk):
+    # 1/1000 on d[6, 3, 6] of the flat member, the phi^1 connection term
+    # th^1 in dth^1; its partner d[6, 6, 3] lies outside the block read.
+    A = bianchi._connection(bk).copy()
+    A[0, 3, 0] = A[0, 3, 0] + bk.rational(1, 1000)
+    monkeypatch.setattr(bianchi, "_connection", lambda bk: A)
+    checks = suites.run_bianchi(bk)
+    assert [c.name for c in checks if not c.passed] == ["stage_two_line",
+                                                        "solution_structure"]
+    assert _check(checks, "stage_two_line").info == "dim=0"
+    assert _check(checks, "stage_one_trivial").info == "dim=0"
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
 def test_discriminant_values_reports_the_gap_of_d1(monkeypatch, bk):
     # d1 = Dis(1, 0, -1, 0) is the call with d = 0; d2 stays 0.
     real = irrep.classical_discriminant
