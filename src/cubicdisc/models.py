@@ -64,15 +64,18 @@ class CoframeSystem:
     structure constants, [v_i, v_j] = -sum_k d[k, i, j] v_k.
 
     `terms[k, i, j]` is the coefficient of e^i ^ e^j in de^k for every i, j,
-    so a term and its reversal enter with opposite signs: d = terms - terms^T.
-    The difference is added to the backend's zero, which on float clears
-    the negative zero parts that a product such as i * h leaves (else C
-    would print as 0.75-0j)."""
+    so a term and its reversal enter with opposite signs: d = terms - terms^T,
+    written where either is nonzero.  The difference is added to the
+    backend's zero, which on float clears the negative zero parts that a
+    product such as i * h leaves (else C would print as 0.75-0j)."""
 
     def __init__(self, terms, bk=EXACT, h=None):
         self.bk = bk
         terms = asarray(terms, bk)
-        self.d = zeros(terms.shape, bk) + (terms - np.swapaxes(terms, 1, 2))
+        k, i, j = np.nonzero(terms)
+        k, i, j = np.concatenate([k, k]), np.concatenate([i, j]), np.concatenate([j, i])
+        self.d = zeros(terms.shape, bk)
+        self.d[k, i, j] = bk.zero + (terms[k, i, j] - terms[k, j, i])
         self.d.flags.writeable = False
         self.h = h
         self._jacobi = None

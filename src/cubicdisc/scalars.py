@@ -13,7 +13,7 @@ Every zero is the one shared zero object.  Inversion multiplies by the
 Galois conjugates and divides by the resulting rational norm, so no general
 number-field machinery is needed.  An ExactArray holds a whole array the
 same way, four integer arrays over one common denominator, so that sums,
-contractions and other bilinear maps run on integers (`karatsuba`), with
+contractions and other bilinear maps run on integers (`ExactArray._times`), with
 one gcd per product array, and are joined back into scalars only on request.
 
 The float backend is a cross-check shadow of the exact computations: its
@@ -285,11 +285,6 @@ def _ints(x):
     return np.asarray(x, dtype=ExactArray.dtype)
 
 
-def _bits(v):
-    """The largest bit length of a numerator of the split form v."""
-    return max(int(max(u.max(initial=0), -u.min(initial=0))).bit_length() for u in v[:4])
-
-
 def _wrap(a, b, c, d, q):
     x = _new(ExactArray)
     x._v = (_ints(a), _ints(b), _ints(c), _ints(d), q)
@@ -318,6 +313,11 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
     [[(2, -4, 0, 0, 1), (1, -1, -1, 0, 2)], [(0, 0, 0, 0, 1), (-3, 0, 2, 0, 1)]]
     >>> Y.any(), (Y - Y).any()
     (True, False)
+    >>> Z = ExactArray.of([[ExactScalar(2 ** 45 + j - k, k, 0, 1) for k in range(3)]
+    ...                    for j in range(3)])     # 46 bits: 2 limbs of 23 bits
+    >>> P = np.asarray(Z.tensordot(Z, 1))
+    >>> bool((P == np.tensordot(np.asarray(Z), np.asarray(Z), 1)).all()), P[0, 0].a
+    (True, Fraction(3713820117856140824697372658, 1))
     """
 
     __slots__ = ("_v",)
@@ -361,43 +361,47 @@ class ExactArray(np.lib.mixins.NDArrayOperatorsMixin):
             x, y, q1 = [u * (q // q1) for u in x], [u * (q // q2) for u in y], q
         return _wrap(*map(op, x, y), q1)
 
-    def _times(self, other, mul, n=None):
-        """mul(self, other) for a Z-bilinear mul: 4 calls if a factor is
-        rational, else 9.  A contraction over n terms runs on int64 if its
-        sx sy / n products outnumber the sx + sy numerators it converts, and
-        nothing overflows: with numerators below 2^B1 and 2^B2 a call is below
-        L = n 2^(B1 + B2), and `karatsuba` (four planes summed in, a call less
-        two others out) below 24 L < 2^(B1 + B2 + ceil(log2 n) + 5); 3 spare bits."""
-        x, y, dt = self._v, other._v, object
-        if (n and x[0].size * y[0].size > n * (x[0].size + y[0].size)
-                and _bits(x) + _bits(y) + (n - 1).bit_length() + 8 <= 63):
-            dt = np.int64
-            x, y = ([u.astype(dt) for u in v[:4]] + [v[4]] for v in (x, y))
-        (a1, *r1, q1), (a2, *r2, q2) = x, y
-        if not any(u.any() for u in r2):
-            out = [mul(u, a2) for u in (a1, *r1)]
-        elif not any(u.any() for u in r1):
-            out = [mul(a1, u) for u in (a2, *r2)]
+    def _times(self, other, mul, axes=None):
+        """mul(self, other) for a Z-bilinear mul.  If mul is np.tensordot over the
+        lists `axes`, summing n terms, and its products outnumber the n (sx + sy)
+        numerators it reads, it is one float64 np.matmul over L-bit limbs, kx
+        per numerator of self and ky of other (`_limb_product`), the smaller as
+        its regular representation, whose rows have absolute sum 8.  A limb is at
+        most 2^L, so a sum over the at most min(kx, ky) limb pairs of one shift
+        is below 2^(2L + bitlen(8 n min(kx, ky))) <= 2^53 for the widest L that
+        keeps this: every partial sum is an exact float64.  Other products run
+        `karatsuba` on Python ints: 4 calls if a factor is rational, else 9."""
+        x, y = self._v, other._v
+        n = axes and math.prod(self.shape[k] for k in axes[0])
+        if n and x[0].size * y[0].size > n * (x[0].size + y[0].size):
+            out = _limb_product(x, y, axes, n)
+        elif not any(u.any() for u in y[1:4]):
+            out = [mul(u, y[0]) for u in x[:4]]
+        elif not any(u.any() for u in x[1:4]):
+            out = [mul(x[0], u) for u in y[:4]]
         else:
-            out = karatsuba(x, y, lambda u, v: mul(np.asarray(u, dt), np.asarray(v, dt)))
-        return _reduced(*(np.asarray(u).astype(object) for u in out[:4]), q1 * q2)
+            out = karatsuba(x, y, lambda u, v: mul(_ints(u), _ints(v)))
+        return _reduced(*out[:4], x[4] * y[4])
 
     def tensordot(self, other, axes):
-        summed = range(-axes, 0) if isinstance(axes, int) else np.atleast_1d(axes[0])
-        return self._times(ExactArray.of(other), lambda x, y: np.tensordot(x, y, axes),
-                           math.prod(self.shape[k] for k in summed))
+        other = ExactArray.of(other)
+        if isinstance(axes, int):
+            axes = (range(self.ndim - axes, self.ndim), range(axes))
+        axes = [[k % u.ndim for k in np.atleast_1d(ax)] for ax, u in zip(axes, (self, other))]
+        return self._times(other, lambda x, y: np.tensordot(x, y, axes), axes)
 
     def any(self):
         """Whether some entry is nonzero: the exact zero test."""
         return any(x.any() for x in self._v[:4])
 
     def frob(self):
-        """The Frobenius norm, each entry rounded as ExactScalar.to_complex."""
+        """The Frobenius norm as sum(abs(z) ** 2) over each entry rounded as
+        ExactScalar.to_complex; ** 2 is libm's pow, not numpy's x * x."""
         if not self.any():
             return 0.0
         a, b, c, d, q = self._v
-        re, im = np.ravel(a / q + c / q * _SQRT3), np.ravel(b / q + d / q * _SQRT3)
-        return math.sqrt(sum(abs(z) ** 2 for z in map(complex, re, im)))
+        re, im = (np.ravel(u / q + v / q * _SQRT3).astype(float) for u, v in ((a, c), (b, d)))
+        return math.sqrt(sum(map(pow, np.hypot(re, im).tolist(), [2] * re.size)))
 
 
 _UFUNCS = {
@@ -409,6 +413,59 @@ _UFUNCS = {
     (np.conjugate, "__call__"): lambda x: _wrap(x._v[0], -x._v[1], x._v[2],
                                                 -x._v[3], x._v[4]),
 }
+
+
+# Basis e = (1, i, sqrt3, i sqrt3): e_p e_q = _COEF[p ^ q, q] e_(p ^ q), so plane
+# r of x y is sum_q _COEF[r, q] x[_PLANE[r, q]] y[q], the regular representation of x.
+_PLANE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])   # r ^ q
+_COEF = np.array([[1, -1, 3, -3], [1, 1, 3, 3], [1, -1, 1, -1], [1, 1, 1, 1.0]])
+
+
+def _limb_product(x, y, axes, n):
+    """The numerator planes of np.tensordot(X, Y, axes) (ExactArray._times):
+    one np.matmul with a gemm per limb pair, each small enough for OpenBLAS to
+    keep on the calling thread; sums per shift carried on int64, joined as ints."""
+    if x[0].size > y[0].size:       # the smaller one enters as its regular representation
+        out = _limb_product(y, x, axes[::-1], n)
+        k = 1 + y[0].ndim - len(axes[1])
+        return np.transpose(out, [0, *range(k, out.ndim), *range(1, k)])
+    x, y = np.stack(x[:4]), np.stack(y[:4])
+    bx, by = (int(max(v.max(initial=0), -v.min(initial=0))).bit_length() for v in (x, y))
+    for L in range(24, 0, -1):
+        kx, ky = max(1, -(-bx // L)), max(1, -(-by // L))
+        if 2 * L + (8 * n * min(kx, ky)).bit_length() <= 53:
+            break
+    X = _limbs(x, L, kx, bx)[:, _PLANE] * _COEF.reshape((4, 4) + (1,) * (x.ndim - 1))
+    X = np.moveaxis(X, [2, *(k + 3 for k in axes[0])], range(-1 - len(axes[0]), 0))
+    Y = np.moveaxis(_limbs(y, L, ky, by), [k + 2 for k in axes[1]], range(2, 2 + len(axes[1])))
+    Z = np.matmul(X.reshape(kx, 1, -1, 4 * n), Y.reshape(1, ky, 4 * n, -1))
+    g = np.zeros((kx + ky - 1,) + Z.shape[2:])
+    for i in range(kx):
+        g[i:i + ky] += Z[i]
+    g = g.astype(np.int64)
+    for s in range(len(g) - 1):
+        g[s + 1] += g[s] >> L
+        g[s] &= (1 << L) - 1
+    out, top = g[-1].astype(object), len(g) - 1
+    for u in reversed(range(0, top, 62 // L)):
+        w = sum(g[s] << L * (s - u) for s in range(u, top))
+        out <<= L * (top - u)
+        out += w.astype(object)
+        top = u
+    return out.reshape(X.shape[1:-1 - len(axes[0])] + Y.shape[2 + len(axes[1]):])
+
+
+def _limbs(v, L, k, b):
+    """The k float64 limbs of v, |v| < 2^b: v = sum_j limb_j 2^(L j), each in [0, 2^L)
+    but the top, |top| <= 2^L; cut by shifts from int64 words (one if b <= 62)."""
+    t, words = k if b <= 62 else 62 // L, []
+    for _ in range((k - 1) // t):
+        words.append((v & ((1 << L * t) - 1)).astype(np.int64))
+        v = v >> L * t
+    words.append(v.astype(np.int64))
+    out = np.stack([words[j // t] >> L * (j % t) for j in range(k)])
+    out[:-1] &= (1 << L) - 1
+    return out.astype(float)
 
 
 def karatsuba(x, y, mul):

@@ -86,6 +86,14 @@ def test_d_is_read_only_and_antisymmetric():
         assert (cs.d == -np.swapaxes(cs.d, 1, 2)).all()
 
 
+def test_float_family_has_no_negative_zeros():
+    # d is written over the backend's zero, which clears the -0.0 parts that
+    # products such as i * h leave in the terms.
+    for h in ((-3, 2), (0, 1), (3, 2), (1, 1)):
+        d = models.coframe_family(FLOAT.rational(*h), FLOAT).d
+        assert not any(((u == 0) & np.signbit(u)).any() for u in (d.real, d.imag))
+
+
 def test_family_members_are_closed():
     for h in (bk.rational(-3, 2), bk.zero, bk.rational(3, 2), bk.one):
         cs = models.coframe_family(h, bk)

@@ -5,10 +5,11 @@ import itertools
 import math
 import pathlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubicdisc import hk, irrep, jsonio, sp2, tensors
 from cubicdisc.scalars import EXACT, FLOAT, ExactArray, ExactScalar
@@ -265,12 +266,12 @@ def test_exact_array_tensordot_matches_elementwise_oracle(data):
 @pytest.mark.parametrize("signs", ["equal", "mixed"])
 def test_int64_products_at_their_bound(monkeypatch, n, past, signs):
     # An (8, n) by (n, 8) contraction, whose products outnumber its
-    # conversions.  Numerators +-(2^b - 1) with b1 + b2 + ceil(log2 n) + 8
-    # = 63 run on int64; one bit more runs on Python ints.  Both equal the
-    # object product.
-    log = (n - 1).bit_length()
-    b2 = (55 - log) // 2
-    b1 = 55 - log - b2 + past
+    # numerators, so it runs as one float64 np.matmul over limbs.  L is the
+    # widest limb width with 2L + bitlen(8 n 2) <= 53: numerators +-(2^2L - 1)
+    # take 2 limbs each, and one bit more takes a third limb for A at the same
+    # width.  Every entry of the float64 product is at most 2^53, the limb
+    # sums are carried on int64, and the result equals the object product.
+    L = max(w for w in range(1, 27) if 2 * w + (16 * n).bit_length() <= 53)
     rng = random.Random(n)
 
     def operand(shape, b):
@@ -280,19 +281,74 @@ def test_int64_products_at_their_bound(monkeypatch, n, past, signs):
                            for _ in range(4))) for _ in range(math.prod(shape))],
             EXACT).reshape(shape)
 
-    A, B = operand((8, n), b1), operand((n, 8), b2)
-    dtypes = set()
-    numpy_tensordot = np.tensordot
+    A, B = operand((8, n), 2 * L + past), operand((n, 8), 2 * L)
+    floats = []
+    numpy_matmul = np.matmul
 
-    def recorded(x, y, axes):
-        dtypes.add(x.dtype)
-        return numpy_tensordot(x, y, axes)
+    def recorded(x, y):
+        out = numpy_matmul(x, y)
+        if out.dtype == np.float64:
+            floats.append((x.shape[0], y.shape[1], np.abs(out).max()))
+        return out
 
-    monkeypatch.setattr(np, "tensordot", recorded)
+    monkeypatch.setattr(np, "matmul", recorded)
     got = ExactArray.of(A).tensordot(ExactArray.of(B), 1)
     monkeypatch.undo()
-    assert dtypes == {np.dtype(object) if past else np.dtype(np.int64)}
+    assert [f[:2] for f in floats] == [(2 + past, 2)]
+    assert floats[0][2] <= 2 ** 53
     assert (_normal(got) == np.tensordot(A, B, 1)).all()
+
+
+@st.composite
+def kernel_contractions(draw):
+    """Shapes and axes of contractions whose products outnumber their
+    operands' entries, so that they run on float64 limbs: (8, n) by (n, 8)
+    with an int or a list `axes`, or one slot of a 4^4 array with a 4 x 4
+    matrix, as in orbit.transport_quartic."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 20))
+        return (8, n), (n, 8), draw(st.sampled_from([1, ([1], [0]), ([-1], [-2])]))
+    return (4,) * 4, (4, 4), ([draw(st.integers(0, 3))], [draw(st.integers(0, 1))])
+
+
+@st.composite
+def wide_operand(draw, shape):
+    """An object array of ExactScalar with numerators of up to 200 bits over
+    denominators of up to 20; each of the planes a, b, c, d may be all zero,
+    so that some operands are rational and some all zero."""
+    bits = draw(st.integers(0, 200))
+    live = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return tensors.asarray(
+        [ExactScalar(*(Fraction(rng.randint(-2 ** bits, 2 ** bits) if on else 0,
+                                rng.randint(1, 20)) for on in live))
+         for _ in range(math.prod(shape))], EXACT).reshape(shape)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_limb_kernel_matches_object_tensordot(data):
+    shape_a, shape_b, axes = data.draw(kernel_contractions())
+    A = data.draw(wide_operand(shape_a))
+    B = data.draw(wide_operand(shape_b))
+    calls = []
+
+    def recorded(name, f):
+        return lambda *args: calls.append((name, args[0].dtype)) or f(*args)
+
+    with mock.patch.object(np, "matmul", recorded("matmul", np.matmul)), \
+            mock.patch.object(np, "tensordot", recorded("tensordot", np.tensordot)):
+        got = ExactArray.of(A).tensordot(ExactArray.of(B), axes)
+    assert calls == [("matmul", np.dtype(np.float64))]
+    assert (_normal(got) == np.tensordot(A, B, axes)).all()
+
+
+@given(shapes.flatmap(wide_operand))
+@settings(max_examples=100, deadline=None)
+# numpy's square of |z| = 1.6859... differs from Python's ** 2 in the last bit.
+@example(tensors.asarray([ExactScalar(Fraction(1.685925504848825)), EXACT.one], EXACT))
+def test_frob_matches_per_entry_formula(A):
+    assert ExactArray.of(A).frob().hex() == _frob_reference(A).hex()
 
 
 # -- the matrix-product kernel against numpy's object @ ----------------------
