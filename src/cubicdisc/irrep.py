@@ -15,6 +15,7 @@ from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, tol_sca
                       all_zero, tensordot, matmul, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
+from .linalg import sparse_rows, row_product, row_sum
 from .hk import SymQuartic, quartic_action
 
 
@@ -286,48 +287,52 @@ def eps_wedge_residual(frames, bk):
 # -- Casimir decomposition ------------------------------------------------
 
 
+def _zero(rows, bk, scale=1.0):
+    """all_zero on dict rows: their stored entries have the matrix's norm."""
+    return all_zero([x for row in rows for x in row.values()], bk, scale)
+
+
 def closes_as_sp1(gens, bk, scale):
-    """[G_1, G_2] = G_3 and cyclic, for a triple of square matrices."""
-    return all(all_zero(matmul(gens[i], gens[j]) - matmul(gens[j], gens[i])
-                        - gens[k], bk, scale=scale)
+    """[G_1, G_2] = G_3 and cyclic, for square matrices or their dict rows."""
+    G = [sparse_rows(M) if isinstance(M, np.ndarray) else M for M in gens]
+    return all(_zero(row_sum([row_product(G[i], G[j])],
+                             [row_product(G[j], G[i]), G[k]]), bk, scale)
                for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 
 
 class So4Module:
-    """Carrier with commuting sp(1) x sp(1) actions given by two generator triples."""
+    """Carrier with commuting sp(1) x sp(1) actions given by two generator
+    triples, each read once into dict rows {column: value} (`linalg`)."""
 
     def __init__(self, e_gens, h_gens, bk=EXACT):
         self.e_gens = tuple(e_gens)
         self.h_gens = tuple(h_gens)
         self.bk = bk
         self.dim = e_gens[0].shape[0]
+        self.e_rows = [sparse_rows(E) for E in self.e_gens]
+        self.h_rows = [sparse_rows(H) for H in self.h_gens]
 
     def check_closure(self):
         bk = self.bk
         scale = max(tol_scale(self.e_gens[0], bk), 1.0)
-        if not closes_as_sp1(self.e_gens, bk, scale):
+        if not closes_as_sp1(self.e_rows, bk, scale):
             raise ValueError("first factor generators do not close as sp(1)")
         hscale = max(tol_scale(self.h_gens[0], bk), 1.0)
         # A zero second factor (module_sp2) closes trivially; all_zero is the
         # backend's zero test, so an exact factor that underflows is checked.
-        if not all(all_zero(H, bk) for H in self.h_gens):
-            if not closes_as_sp1(self.h_gens, bk, hscale):
+        if not all(_zero(H, bk) for H in self.h_rows):
+            if not closes_as_sp1(self.h_rows, bk, hscale):
                 raise ValueError("second factor generators do not close as sp(1)")
-        for E in self.e_gens:
-            for H in self.h_gens:
-                if not all_zero(matmul(E, H) - matmul(H, E), bk,
-                                scale=scale + hscale):
+        for E in self.e_rows:
+            for H in self.h_rows:
+                if not _zero(row_sum([row_product(E, H)], [row_product(H, E)]),
+                             bk, scale + hscale):
                     raise ValueError("the two sp(1) factors do not commute")
 
     def casimirs(self):
-        bk = self.bk
-        CE = zeros((self.dim, self.dim), bk)
-        for E in self.e_gens:
-            CE = CE + matmul(E, E)
-        CH = zeros((self.dim, self.dim), bk)
-        for H in self.h_gens:
-            CH = CH + matmul(H, H)
-        return CE, CH
+        """CE = sum_s E_s^2 and CH = sum_s H_s^2, in dict rows."""
+        return [row_sum([row_product(G, G) for G in gens])
+                for gens in (self.e_rows, self.h_rows)]
 
 
 def casimir_eigenvalue(k, bk):
@@ -348,20 +353,19 @@ def casimir_decompose(module, kmax, lmax):
     n = module.dim
 
     def shifted(C, m):
-        c = casimir_eigenvalue(m, bk)
-        rows = C.tolist()
-        for i in range(n):
-            rows[i][i] = rows[i][i] - c
-        return rows
+        c = -casimir_eigenvalue(m, bk)      # C - eigenvalue * Id
+        return [{**row, i: row[i] + c if i in row else c} for i, row in enumerate(C)]
 
     CE, CH = module.casimirs()
-    ks = [k for k in range(kmax + 1) if linalg.rank(shifted(CE, k), bk) < n]
-    ls = [l for l in range(lmax + 1) if linalg.rank(shifted(CH, l), bk) < n]
+    se = {k: shifted(CE, k) for k in range(kmax + 1)}
+    sh = {l: shifted(CH, l) for l in range(lmax + 1)}
+    ks = [k for k in se if linalg.rank(se[k], bk) < n]
+    ls = [l for l in sh if linalg.rank(sh[l], bk) < n]
     table = {}
     covered = 0
     for k in ks:
         for l in ls:
-            d = n - linalg.rank(shifted(CE, k) + shifted(CH, l), bk)
+            d = n - linalg.rank(se[k] + sh[l], bk)
             if d:
                 mult, rem = divmod(d, (k + 1) * (l + 1))
                 if rem:
@@ -377,10 +381,7 @@ def casimir_decompose(module, kmax, lmax):
 
 def module_v(bk=EXACT):
     """V^C with the irreducible so(4) action: S^3 E (x) H."""
-    E = script_e_frames(bk)
-    J = jmats(bk)
-    H = tuple(Js * bk.rational(1, 2) for Js in J)
-    return So4Module(E, H, bk)
+    return So4Module(script_e_frames(bk), [Js * bk.rational(1, 2) for Js in jmats(bk)], bk)
 
 
 @lru_cache(maxsize=None)
@@ -391,9 +392,7 @@ def ad_upsilon_matrices(bk=EXACT):
 
 def module_sp2(bk=EXACT):
     """sp(2) as a module over sp(1)_ir (x) trivial."""
-    E = ad_upsilon_matrices(bk)
-    Z = zeros((10, 10), bk)
-    return So4Module(E, (Z.copy(), Z.copy(), Z.copy()), bk)
+    return So4Module(ad_upsilon_matrices(bk), [zeros((10, 10), bk)] * 3, bk)
 
 
 def upsilon_perp_basis(bk=EXACT):

@@ -11,7 +11,8 @@ One zero rule holds throughout: an entry is zero iff its pivot_weight is at
 most `bk.pivot_tol * max(1, w)`, where w is the largest pivot_weight among
 all the system's rows, taken before any row is reduced, so no result depends
 on the order of the rows.  On exact pivot_tol is 0, so only an identically
-zero entry is zero.
+zero entry is zero.  Dict rows also hold sparse matrices: `sparse_rows`
+reads one in, and `row_product` and `row_sum` multiply and add them.
 """
 
 import numpy as np
@@ -27,6 +28,43 @@ def real_flat(A, bk):
         out.append(bk.re(x))
         out.append(bk.im(x))
     return out
+
+
+def sparse_rows(M):
+    """The rows of matrix M as dicts {column: value} of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in M.tolist()]
+
+
+def row_product(A, B):
+    """A @ B on dict rows, over stored entries only (Gustavson 1978); an
+    entry that cancels to zero is dropped.
+
+    >>> from cubicdisc.scalars import EXACT as bk
+    >>> row_product([{0: bk.i, 1: bk.one}, {}], [{0: bk.i}, {0: bk.one}])  # i*i + 1*1 = 0
+    [{}, {}]
+    """
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def row_sum(plus, minus=()):
+    """sum(plus) - sum(minus) for dict-row matrices with one number of
+    rows; an entry that cancels to zero is dropped."""
+    out = [{} for _ in plus[0]]
+    for M, sub in [(M, False) for M in plus] + [(M, True) for M in minus]:
+        for acc, row in zip(out, M):
+            for j, x in row.items():
+                if j in acc:
+                    acc[j] = acc[j] - x if sub else acc[j] + x
+                else:
+                    acc[j] = -x if sub else x
+    return [{j: x for j, x in acc.items() if x} for acc in out]
 
 
 class SparseEliminator:
@@ -131,6 +169,9 @@ def rref(M, bk):
 
 
 def rank(M, bk):
+    """The rank of M, given as dense rows or as dict rows {column: scalar}."""
+    if len(M) and isinstance(M[0], dict):
+        return SparseEliminator(M, float("inf"), bk).rank()    # no right-hand sides
     return _eliminate_dense(M, bk).rank()
 
 

@@ -126,8 +126,7 @@ def run_irrep(bk, seed=0):
         ("trivial_factor_case", dPt @ dPt + dPt * bk.rational(3, 2)
          - Pt * bk.rational(10), 100.0),
         ("frame_pairing", pair - eye(3, bk) * bk.rational(5)),
-        ("frame_casimir",
-         module.casimirs()[0] + eye(8, bk) * bk.rational(15, 4), 10.0),
+        ("frame_casimir", sum(E @ E for E in F) + eye(8, bk) * bk.rational(15, 4), 10.0),
         ("frame_wedge_normalization", irrep.eps_wedge_residual(F, bk), 10.0),
         ("module_v_decomposition", (table == {(3, 1): 1}, 0.0), 1.0,
          str(sorted(table.items()))),

@@ -14,7 +14,8 @@ the conjugate, the norms and `tensordot` are numpy's own.  On exact, `split`
 gives a `scalars.ExactArray`: the contractions, `sym4`, `jmap4` and
 `conj_arr` keep it, `frob` and `all_zero` read it, and `asarray` joins it
 back into objects for callers that index, `@` or store.  `matmul`, the
-matrix product of the Casimir path, multiplies only nonzero pairs on exact.
+dense matrix product, multiplies only nonzero pairs on exact; the Casimir
+path multiplies dict rows instead (`linalg.row_product`).
 """
 
 from functools import lru_cache

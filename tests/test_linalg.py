@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
-from cubicdisc import linalg
+from cubicdisc import linalg, tensors
 
 
 def M(rows, bk=EXACT):
@@ -154,3 +156,60 @@ def test_add_row_reports_independence():
                                     {1: one}], 2, EXACT)
     assert elim.independent == [True, False, False, True]
     assert elim.nullspace() == []
+
+
+# -- dict-row products and sums against the dense products -------------------
+
+
+ENTRIES = [EXACT.one, -EXACT.one, EXACT.i, -EXACT.i, EXACT.sqrt3,
+           EXACT.rational(1, 2), EXACT.i * EXACT.sqrt3 * EXACT.rational(-1, 3)]
+
+
+@st.composite
+def sparse_matrix(draw, n, m):
+    """An n x m exact matrix, about a quarter of it nonzero, with some rows
+    all zero."""
+    A = tensors.zeros((n, m), EXACT)
+    for i in range(n):
+        if draw(st.booleans()):
+            for j in range(m):
+                if draw(st.integers(0, 3)) == 0:
+                    A[i, j] = draw(st.sampled_from(ENTRIES))
+    return A
+
+
+def _dense(rows, m, bk):
+    out = tensors.zeros((len(rows), m), bk)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i, j] = x
+    return out
+
+
+@pytest.mark.parametrize("bk", [EXACT, FLOAT], ids=["exact", "float"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_product_and_sum_match_dense(bk, data):
+    n, k, m = (data.draw(st.integers(1, 12)) for _ in "nkm")
+    A, C, D = (data.draw(sparse_matrix(n, c)) for c in (k, m, m))
+    B = data.draw(sparse_matrix(k, m))
+    if k % 2 == 0 and data.draw(st.booleans()):
+        # The two halves of the sum over k cancel: A @ B is zero.
+        A[:, k // 2:] = A[:, :k // 2]
+        B[k // 2:] = -B[:k // 2]
+    if bk is FLOAT:
+        A, B, C, D = (tensors.asarray([[x.to_complex() for x in row] for row in X], bk)
+                      for X in (A, B, C, D))
+    P = linalg.row_product(linalg.sparse_rows(A), linalg.sparse_rows(B))
+    S = linalg.row_sum([P, linalg.sparse_rows(C)], [linalg.sparse_rows(D)])
+    for got, want in ((P, tensors.matmul(A, B)),
+                      (S, tensors.matmul(A, B) + C - D)):
+        assert len(got) == n and all(0 <= j < m for row in got for j in row)
+        if bk is EXACT:
+            assert (_dense(got, m, bk) == want).all()
+            # A zero is the shared zero or is not stored.
+            assert all(x is EXACT.zero or any(x.ints()[:4])
+                       for row in got for x in row.values())
+        else:
+            assert np.abs(_dense(got, m, bk) - want).max() <= 1e-12
+        assert linalg.rank(got, bk) == linalg.rank(want.tolist(), bk)
