@@ -15,9 +15,9 @@ For a real X the thb rows are the conjugates of these.  Each real unknown is a
 block of X as `coframe_family` writes it: complex antisymmetric on th ^ th
 with its conjugate on thb ^ thb (C^s on dpsi^s, F^s on dphi^s), or
 anti-Hermitian on th ^ thb (D^s, G^s).  Stage one, {C^s, F1, G2, G3}, has
-only the zero solution; stage two, {D^s, F2, F3, G1}, the line
-
-    F2 = h P,  F3 = -i h P,  D^s = -(2h/3) Upsilon_s P,  G1 = i h Id.
+only the zero solution; stage two, {D^s, F2, F3, G1}, a line.  The solved X,
+normalized to h = 1, is compared block by block with `coframe_family(1)`,
+where the closed form of the line is written.
 """
 
 from functools import lru_cache
@@ -25,16 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import zeros, asarray, matmul, conj_arr, pmat, eye
-from .irrep import upsilons
+from .tensors import zeros, asarray, matmul, conj_arr
 from .linalg import SparseEliminator
 from .models import TH0, coframe_family, leibniz_sum
 
-# The unknown blocks (m, kind) of X in column order: kind TH is th ^ th,
+# The unknown blocks (name, m, kind) of X in column order: kind TH is th ^ th,
 # MIX is th ^ thb.  Horizontal index 0..3 is th, 4..7 is thb.
 TH, MIX = "th^th", "th^thb"
-STAGE_ONE = ((0, TH), (1, TH), (2, TH), (3, TH), (4, MIX), (5, MIX))   # C^s, F1, G2, G3
-STAGE_TWO = ((0, MIX), (1, MIX), (2, MIX), (3, MIX), (4, TH), (5, TH))  # D^s, G1, F2, F3
+STAGE_ONE = (("C1", 0, TH), ("C2", 1, TH), ("C3", 2, TH),
+             ("F1", 3, TH), ("G2", 4, MIX), ("G3", 5, MIX))
+STAGE_TWO = (("D1", 0, MIX), ("D2", 1, MIX), ("D3", 2, MIX),
+             ("G1", 3, MIX), ("F2", 4, TH), ("F3", 5, TH))
 
 
 def _entry_pair(a, b, x, y, bk):
@@ -60,15 +61,15 @@ def antiherm_basis(bk):
 
 def _columns(blocks, bk):
     """One X per real unknown of `blocks`, stacked on a last axis (6 x 8 x 8 x
-    unknowns), written on the pairs a < b that `first_bianchi_residual` reads."""
+    unknowns), each antisymmetric in its horizontal pair."""
     cols = []
-    for m, kind in blocks:
+    for _, m, kind in blocks:
         for M in antisym_basis(bk) if kind == TH else antiherm_basis(bk):
             X = zeros((6, 8, 8), bk)
             if kind == TH:
                 X[m, :4, :4], X[m, 4:, 4:] = M, conj_arr(M, bk)
             else:
-                X[m, :4, 4:] = M
+                X[m, :4, 4:], X[m, 4:, :4] = M, -M.T
             cols.append(X)
     return np.stack(cols, axis=-1)
 
@@ -121,38 +122,32 @@ def stage_two_nullspace(bk=EXACT):
 
 
 class FirstBianchiSolution:
-    """The solved constraint system, normalized so that F2[1,3] = 1 (h = 1)."""
+    """The solved constraint system.  X is the curvature of the stage-two
+    line, normalized so that F2[1,3] = 1 (h = 1); None unless the line is
+    one-dimensional."""
 
     def __init__(self, bk=EXACT):
         self.bk = bk
         self.stage_one = stage_one_nullspace(bk)
         self.stage_two = stage_two_nullspace(bk)
-        self.D = self.F2 = self.F3 = self.G1 = None
+        self.X = None
         if len(self.stage_two) == 1:
-            self._extract(self.stage_two[0])
-
-    def _extract(self, vec):
-        bk = self.bk
-        cols = _columns(STAGE_TWO, bk)
-        X = matmul(cols.reshape(-1, len(vec)), asarray([vec], bk).T).reshape(cols.shape[:3])
-        scale = X[4, 0, 2]      # F2[1,3] = d[4, TH0, TH0 + 2]
-        if not scale:
-            raise ValueError("cannot normalize: F2[1,3] vanishes on the solution line")
-        X = X * (bk.one / scale)
-        self.D = [X[s, :4, 4:] for s in range(3)]
-        self.G1 = X[3, :4, 4:]
-        self.F2, self.F3 = X[4, :4, :4], X[5, :4, :4]
+            vec = self.stage_two[0]
+            cols = _columns(STAGE_TWO, bk)
+            X = matmul(cols.reshape(-1, len(vec)), asarray([vec], bk).T).reshape(cols.shape[:3])
+            scale = X[4, 0, 2]      # F2[1,3] = d[4, TH0, TH0 + 2]
+            if not scale:
+                raise ValueError("cannot normalize: F2[1,3] vanishes on the solution line")
+            self.X = X * (bk.one / scale)
 
     def structure_residuals(self):
-        """Residual arrays of the normalized solution against the closed form
-        F2 = P, F3 = -iP, D^s = -(2/3) Upsilon_s P, G1 = i Id."""
-        bk = self.bk
-        P = pmat(bk)
-        out = {}
-        out["F2"] = self.F2 - P
-        out["F3"] = self.F3 + P * bk.i
-        out["G1"] = self.G1 - eye(4, bk) * bk.i
-        for s in range(3):
-            expect = (upsilons(bk)[s] @ P) * bk.rational(-2, 3)
-            out["D%d" % (s + 1)] = self.D[s] - expect
-        return out
+        """X - coframe_family(1).d[:6, TH0:, TH0:], read on each named
+        stage-two block: zero iff the solved line is the family's.
+
+        >>> res = FirstBianchiSolution().structure_residuals()
+        >>> sorted(res), all(not v for r in res.values() for v in r.flat)
+        (['D1', 'D2', 'D3', 'F2', 'F3', 'G1'], True)
+        """
+        diff = self.X - coframe_family(self.bk.one, self.bk).d[:6, TH0:, TH0:]
+        return {name: diff[m, :4, :4] if kind == TH else diff[m, :4, 4:]
+                for name, m, kind in STAGE_TWO}

@@ -220,16 +220,16 @@ def solve_generator(K, L, bk):
     return U
 
 
-def tangent_H(K, L, check_orbit=True):
+def tangent_H(K, L):
     """The sp(2)-valued operator H attached to a tangent vector L at K.
 
-    H = (1/5)((7/2) U - T_K(U)) where U, solved for, generates L.
+    H = (1/5)((7/2) U - T_K(U)) where U, solved for, generates L.  K must
+    lie on the orbit (is_cd_theorem), else ValueError.
     """
     bk = K.bk
-    if check_orbit:
-        from .orbit import is_cd_theorem
-        if not is_cd_theorem(K).verdict:
-            raise ValueError("K is not a cubic discriminant; tangent_H undefined")
+    from .orbit import is_cd_theorem
+    if not is_cd_theorem(K).verdict:
+        raise ValueError("K is not a cubic discriminant; tangent_H undefined")
     U = solve_generator(K, L, bk)
     TU = t_k_apply(K, U)
     H = (U * bk.rational(7, 2) - TU) * bk.rational(1, 5)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, tol_scale,
+from .tensors import (zeros, asarray, conj_arr, pmat, eye, g8mat, jmats, tol_scale, pp_tensor,
                       all_zero, tensordot, matmul, jmap4, frozen, omega_forms)
 from . import sp2
 from . import linalg
@@ -72,15 +72,10 @@ def upsilons(bk=EXACT):
 @lru_cache(maxsize=None)
 def s_hat(bk=EXACT):
     """The invariant quartic: S_{abcd} = sum_s U_s[a,b] U_s[c,d] - (3/4)(P[a,c]P[b,d] + P[a,d]P[b,c])."""
-    P = pmat(bk)
     S = zeros((4, 4, 4, 4), bk)
     for U in upsilons(bk):
         S = S + np.multiply.outer(U, U)
-    q34 = bk.rational(3, 4)
-    PP = np.multiply.outer(P, P)  # P[a,c] P[b,d] at [a,c,b,d]
-    S = S - np.transpose(PP, (0, 2, 1, 3)) * q34
-    S = S - np.transpose(PP, (0, 2, 3, 1)) * q34
-    return SymQuartic(S, bk)
+    return SymQuartic(S - pp_tensor(bk) * bk.rational(3, 4), bk)
 
 
 def classical_discriminant(a, b, c, d, bk=EXACT):
@@ -164,11 +159,7 @@ def upsilon_lemma_residuals(bk=EXACT):
     total = zeros((4, 4, 4, 4), bk)
     for Us in U:
         total = total + np.multiply.outer(Us, Us)
-    PP = np.multiply.outer(P, P)
-    q34 = bk.rational(3, 4)
-    expect = S + np.transpose(PP, (0, 2, 1, 3)) * q34 \
-               + np.transpose(PP, (0, 2, 3, 1)) * q34
-    out["sum_of_squares"] = [total - expect]
+    out["sum_of_squares"] = [total - (S + pp_tensor(bk) * bk.rational(3, 4))]
 
     out["eigen_contraction"] = [
         tensordot(S, P.T @ Us @ P, axes=([2, 3], [0, 1])) - Us * bk.rational(7, 2)

@@ -7,9 +7,12 @@ family, indexed by a real scalar h, has closed members exactly as dictated
 by the differential constraints; h = -3/2 and h = 3/2 give the compact and
 split models, h = 0 the flat one.
 
-The module also computes the Jacobi residuals (d^2 = 0), the curvature
-operator restricted to the 8-dimensional horizontal space, Ricci and scalar
-curvature, and the comparison with the invariant quartic.
+The module also computes the Jacobi residuals (d^2 = 0), the curvature on
+the 8-dimensional horizontal space, Ricci and scalar curvature, and the
+comparison with the invariant quartic.  Everything is read from d: the
+curvature is -ad([X, Y]_h), the product of d's curvature blocks d[k < 6]
+with its connection terms d[th, k < 6, th], and the structure equations are
+written once, in `coframe_family`.
 """
 
 import itertools
@@ -18,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .scalars import EXACT
-from .tensors import (zeros, asarray, matmul, conj_arr, eye, pmat, g8mat, jmats,
+from .tensors import (zeros, asarray, matmul, tensordot, conj_arr, eye, pmat, g8mat,
                       omega_forms, q_tensor, frozen, FLIP)
-from .irrep import rep_w, upsilons, script_e_frames, s_hat
+from .irrep import rep_w, upsilons, s_hat
 from .hk import kappa
 
 N_FORMS = 14
@@ -164,25 +167,28 @@ def split_model(bk=EXACT):
 
 
 def curvature_tensor(cs):
-    """R(x,y,z,w) on the horizontal space, fully lowered with g.
+    """R(x,y,z,w) on the horizontal space, fully lowered with g, read from
+    the brackets.  On a symmetric pair the curvature operator is
+    R(x, y) = -ad([x, y]_h) on the horizontal space (Kobayashi and Nomizu,
+    Foundations of Differential Geometry I, 1963, ch. XI; Helgason 1978,
+    ch. IV 4).  Here [x, y]_h = -sum_{k<6} d[k, x, y] v_k and
+    (ad v_k)^c_z = -d[TH0 + c, k, TH0 + z], so R is two contractions of d:
 
-    The curvature operator is R(x,y) = sum_s dpsi^s(x,y) E_s
-    + sum_s dphi^s(x,y) J_s / 2, with E_s the frame endomorphisms and
-    d[k, TH0:, TH0:] the value of de^k on the horizontal vectors.  Computed
-    once per coframe (its d is read-only) and held on it read-only.
+        R[x, y, z, w] = -sum_{k<6, c} d[k, x, y] d[TH0 + c, k, TH0 + z] g[c, w].
+
+    The product is subtracted from the backend's zero, which on float keeps
+    negative zeros out.  Computed once per coframe (its d is read-only) and
+    held on it read-only.
+
+    >>> bool((curvature_tensor(coframe_family(EXACT.zero)) == 0).all())
+    True
+    >>> curvature_tensor(compact_model())[0, 4, 0, 4]     # R(th1, th1b, th1, th1b)
+    ExactScalar(3)
     """
     if cs._curvature is None:
-        bk = cs.bk
-        g = g8mat(bk)
-        frames = script_e_frames(bk)
-        J = jmats(bk)
-        half = bk.rational(1, 2)
-        R = zeros((8, 8, 8, 8), bk)
-        for s in range(3):
-            low_e = frames[s].T @ g
-            low_j = (J[s] * half).T @ g
-            R = R + np.multiply.outer(cs.d[s, TH0:, TH0:], low_e)
-            R = R + np.multiply.outer(cs.d[3 + s, TH0:, TH0:], low_j)
+        d = cs.d
+        low = tensordot(d[TH0:, :6, TH0:], g8mat(cs.bk), ([0], [0]))    # [k, z, w]
+        R = cs.bk.zero - tensordot(d[:6, TH0:, TH0:], low, ([0], [0]))
         cs._curvature = frozen([R])[0]
     return cs._curvature
 

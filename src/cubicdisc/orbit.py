@@ -18,7 +18,7 @@ import numpy as np
 from .scalars import EXACT
 from .tensors import (zeros, conj_arr, pmat, eye, g8mat, jmats, frob, tol_scale,
                       all_zero, slot_contract, p_contract, split, tensordot, sym4,
-                      jmap4, q_tensor, frozen, sym_index)
+                      jmap4, q_tensor, pp_tensor, frozen, sym_index)
 from . import sp2
 from . import linalg
 from . import irrep
@@ -74,12 +74,10 @@ def _compact_terms(bk):
     (21/8) P P term at [(a,b), (c,d)]; E with (3/4) S.P = S[a,b,c,x] E[x,d,(m,n)];
     and for k = 0..3 the row of X[(a,b,c), d] at each (a,b,c,d), d from slot k."""
     pairs = sym_index(2)[0]
-    PP = np.multiply.outer(pmat(bk), pmat(bk))
-    one = np.transpose(PP, (0, 2, 1, 3)) + np.transpose(PP, (0, 2, 3, 1))
     dP = np.multiply.outer(eye(4, bk), pmat(bk))        # delta[x,m] P[n,d]
     two = np.transpose(dP, (0, 3, 1, 2)) + np.transpose(dP, (0, 3, 2, 1))
     rows = sym_index(3)[1][..., None] * 4 + np.arange(4)
-    return (split(one.reshape(16, 16)[np.ix_(pairs, pairs)] * bk.rational(21, 8), bk),
+    return (split(pp_tensor(bk).reshape(16, 16)[np.ix_(pairs, pairs)] * bk.rational(21, 8), bk),
             split(two.reshape(4, 4, 16)[:, :, pairs] * bk.rational(3, 4), bk),
             frozen([np.stack([np.moveaxis(rows, 3, k).reshape(-1)[sym_index(4)[0]]
                               for k in range(4)])])[0])

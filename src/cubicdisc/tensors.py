@@ -1,5 +1,5 @@
 """Component arrays on V^C = W (+) Wbar, dim W = 4, and the structure
-tensors of the adapted basis: pi, g, J_s, omega_s and Q.
+tensors of the adapted basis: pi, g, J_s, omega_s, pi pi and Q.
 
 Index bookkeeping follows a fixed Sp(2)-adapted basis: e_{a+2} = j(e_a),
 pi = e^1^e^3 + e^2^e^4, and g is the identity in mixed components.  Indices
@@ -19,7 +19,6 @@ path multiplies dict rows instead (`linalg.row_product`).
 """
 
 from functools import lru_cache
-import math
 
 import numpy as np
 
@@ -48,13 +47,12 @@ def conj_arr(A, bk):
 
 
 def frob(A, bk):
-    """Frobenius norm of an array of backend scalars, as a float."""
-    if isinstance(A, ExactArray):
-        return A.frob()
-    A = asarray(A, bk)
+    """Frobenius norm of an array of backend scalars, as a float; on exact,
+    that of its split form (ExactArray.frob)."""
+    A = A if isinstance(A, ExactArray) else asarray(A, bk)
     if A.dtype != object:
         return float(np.linalg.norm(A))
-    return math.sqrt(sum(abs(bk.to_complex(x)) ** 2 for x in A.flat))
+    return ExactArray.of(A).frob()
 
 
 def tol_scale(A, bk):
@@ -210,6 +208,16 @@ def jmats(bk=EXACT):
 def omega_forms(bk=EXACT):
     """The Kahler forms omega_s(x, y) = g(J_s x, y) as 8x8 matrices."""
     return frozen([J.T @ g8mat(bk) for J in jmats(bk)])
+
+
+@lru_cache(maxsize=None)
+def pp_tensor(bk=EXACT):
+    """P[a,c] P[b,d] + P[a,d] P[b,c] at [a,b,c,d]: the pi pi term of the
+    invariant quartic and of the quartic conditions."""
+    PP = np.multiply.outer(pmat(bk), pmat(bk))    # P[a,c] P[b,d] at [a,c,b,d]
+    out = np.transpose(PP, (0, 2, 1, 3)) + np.transpose(PP, (0, 2, 3, 1))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -67,6 +67,32 @@ def test_full_system_solution():
     res = sol.structure_residuals()
     assert set(res) == {"F2", "F3", "G1", "D1", "D2", "D3"}
     assert all(all_zero(r, bk) for r in res.values())
+    # the whole solved curvature is the family's at h = 1, thb blocks included
+    assert (sol.X == models.coframe_family(bk.one, bk).d[:6, TH0:, TH0:]).all()
+
+
+def test_closed_form_matches_the_family():
+    # the closed form written out here against the family's curvature blocks
+    D, F2, F3, G1 = closed_form(bk.rational(5, 7))
+    family = models.coframe_family(bk.rational(5, 7), bk).d[:6, TH0:, TH0:]
+    assert (as_x(D, F2, F3, G1) == family).all()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_structure_residuals_read_the_family(monkeypatch, backend):
+    # A family whose G1 block is off by 1/1000 h: the solved line no longer
+    # matches it, and only G1 shows a residual.
+    real = models.coframe_family
+
+    def shifted(h, bk=EXACT):
+        d = real(h, bk).d.copy()
+        d[3, TH0, TH0 + 4] = d[3, TH0, TH0 + 4] + h * bk.rational(1, 1000)
+        d[3, TH0 + 4, TH0] = d[3, TH0 + 4, TH0] - h * bk.rational(1, 1000)
+        return models.CoframeSystem(d * bk.rational(1, 2), bk, h=h)
+
+    monkeypatch.setattr(bianchi, "coframe_family", shifted)
+    res = bianchi.FirstBianchiSolution(backend).structure_residuals()
+    assert [n for n, r in sorted(res.items()) if frob(r, backend) > 1e-6] == ["G1"]
 
 
 # -- the residual is the horizontal part of d^2 = 0 ---------------------------

@@ -95,10 +95,16 @@ def test_tangent_operator_agreement():
     U = orbit.random_sp2(17, bk)
     Lf = hk.lie_derivative_full8(K.full8(), sp2.endo_on_v(U, bk), bk)
     L = hk.HKTensor(Lf[np.ix_(range(4), range(4, 8), range(4), range(4, 8))], bk)
-    H = hk.tangent_H(K, L, check_orbit=False)
+    H = hk.tangent_H(K, L)
     Hc = hk.tangent_H_from_contraction(K, L, bk)
     assert all_zero(irrep.lowered_2form(sp2.endo_on_v(H, bk), bk) - Hc, bk,
                     scale=frob(Hc, bk) + 1.0)
+
+
+def test_tangent_operator_rejects_off_orbit_point():
+    K = hk.kappa(orbit.random_quartic(23, bk))
+    with pytest.raises(ValueError, match="not a cubic discriminant"):
+        hk.tangent_H(K, K)
 
 
 def test_solve_generator_rejects_nontangent():

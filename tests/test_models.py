@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT
-from cubicdisc.tensors import frob, all_zero, g8mat, zeros, asarray
+from cubicdisc.tensors import frob, all_zero, g8mat, jmats, zeros, asarray
 from cubicdisc import models, irrep, hk, jsonio
 
 bk = EXACT
@@ -135,7 +135,6 @@ def test_horizontal_adjoint_actions():
             for b in range(4):
                 assert c[models.TH0 + a, s, models.TH0 + b] == E[s][a, b]
     # ad(2 phi_s) acts on the horizontal space by J_s.
-    from cubicdisc.tensors import jmats
     J = jmats(bk)
     for s in range(3):
         for a in range(8):
@@ -148,9 +147,48 @@ def test_curvature_is_computed_once_and_read_only(monkeypatch):
     cs = models.compact_model(bk)
     R = models.curvature_tensor(cs)
     assert not R.flags.writeable
-    monkeypatch.setattr(models, "script_e_frames", None)   # no second build
+    monkeypatch.setattr(models, "tensordot", None)   # no second build
     assert models.curvature_tensor(cs) is R
     assert all_zero(models.model_curvature_residual(cs), bk, scale=100.0)
+
+
+def frame_curvature(cs):
+    """Reference route: R = sum_s dpsi^s (x) g(E_s., .) + dphi^s (x) g(J_s/2., .),
+    from the frame endomorphisms E_s and the complex structures J_s."""
+    backend = cs.bk
+    g = g8mat(backend)
+    half = backend.rational(1, 2)
+    R = zeros((8, 8, 8, 8), backend)
+    for s in range(3):
+        R = R + np.multiply.outer(cs.d[s, models.TH0:, models.TH0:],
+                                  irrep.script_e_frames(backend)[s].T @ g)
+        R = R + np.multiply.outer(cs.d[3 + s, models.TH0:, models.TH0:],
+                                  (jmats(backend)[s] * half).T @ g)
+    return R
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("h", [(-3, 2), (0, 1), (3, 2), (1, 1)])
+def test_bracket_curvature_matches_frame_reference(backend, h):
+    cs = models.coframe_family(backend.rational(*h), backend)
+    R, ref = models.curvature_tensor(cs), frame_curvature(cs)
+    if backend is EXACT:
+        assert all(x == y for x, y in zip(R.flat, ref.flat))
+    else:
+        assert R.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_curvature_reads_the_connection(backend):
+    # 1/1000 on the psi^1 connection term psi^1 ^ th^2 of dth^1, and minus it
+    # at the partner: the brackets change, so the curvature no longer matches.
+    compact = models.compact_model(backend)
+    d = compact.d.copy()
+    eps = backend.rational(1, 1000)
+    d[models.TH0, 0, models.TH0 + 1] = d[models.TH0, 0, models.TH0 + 1] + eps
+    d[models.TH0, models.TH0 + 1, 0] = d[models.TH0, models.TH0 + 1, 0] - eps
+    cs = models.CoframeSystem(d * backend.rational(1, 2), backend, h=compact.h)
+    assert frob(models.model_curvature_residual(cs), backend) > 1e-3
 
 
 def test_flat_model_has_zero_curvature():

@@ -351,6 +351,20 @@ def test_frob_matches_per_entry_formula(A):
     assert ExactArray.of(A).frob().hex() == _frob_reference(A).hex()
 
 
+@given(shapes.flatmap(wide_operand), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_tensors_frob_of_object_arrays_is_the_per_scalar_norm(A, seed):
+    # tensors.frob reads an object array through its split form; with about
+    # a third of the entries zeroed it still rounds as the per-scalar norm.
+    rng = random.Random(seed)
+    A = A.copy()
+    for idx in np.ndindex(A.shape):
+        if rng.random() < 0.3:
+            A[idx] = EXACT.zero
+    per_scalar = math.sqrt(sum(abs(EXACT.to_complex(x)) ** 2 for x in A.flat))
+    assert frob(A, EXACT).hex() == per_scalar.hex()
+
+
 # -- the matrix-product kernel against numpy's object @ ----------------------
 
 
