@@ -14,9 +14,9 @@ import itertools
 import json
 
 from .scalars import EXACT, ExactScalar
-from .tensors import zeros
+from .tensors import zeros, alt_index
 from .hk import SymQuartic, HKTensor
-from .models import CoframeSystem, LABELS, N_FORMS, PAIRS
+from .models import CoframeSystem, LABELS, N_FORMS
 
 
 def scalar_to_json(x, bk):
@@ -115,7 +115,8 @@ def coframe_to_json(cs):
     bk = cs.bk
     d = cs.d.tolist()
     rows = {LABELS[k]: [[LABELS[i], LABELS[j], scalar_to_json(d[k][i][j], bk)]
-                        for i, j in PAIRS if d[k][i][j]] for k in range(N_FORMS)}
+                        for i, j in zip(*alt_index(N_FORMS, 2)[0]) if d[k][i][j]]
+            for k in range(N_FORMS)}
     out = {"kind": "coframe", "labels": list(LABELS), "d": rows}
     out["h"] = None if cs.h is None else scalar_to_json(cs.h, bk)
     return out

@@ -15,14 +15,13 @@ with its connection terms d[th, k < 6, th], and the structure equations are
 written once, in `coframe_family`.
 """
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from .scalars import EXACT
 from .tensors import (zeros, asarray, matmul, tensordot, conj_arr, eye, pmat, g8mat,
-                      omega_forms, q_tensor, frozen, FLIP)
+                      omega_forms, q_tensor, frozen, alt_index, FLIP)
 from .irrep import rep_w, upsilons, s_hat
 from .hk import kappa
 
@@ -30,26 +29,17 @@ N_FORMS = 14
 LABELS = ["psi1", "psi2", "psi3", "phi1", "phi2", "phi3",
           "th1", "th2", "th3", "th4", "th1b", "th2b", "th3b", "th4b"]
 TH0 = 6    # th_alpha = TH0 + alpha, thbar_alpha = TH0 + 4 + alpha
-PAIRS = list(itertools.combinations(range(N_FORMS), 2))
-
-
-def _wedge_index(n):
-    """For 1-forms e^0..e^(n-1): the pairs a < b and the triples i < j < l in
-    itertools order, and place[a, b], the place of (a, b) among the pairs."""
-    a, b = np.array(list(itertools.combinations(range(n), 2))).T
-    place = np.zeros((n, n), dtype=int)
-    place[a, b] = range(len(a))
-    return a, b, place, *np.array(list(itertools.combinations(range(n), 3))).T
 
 
 def leibniz_sum(C, F):
     """The 3-forms sum_{m,n} C[k, m, n] F[m] ^ e^n, a row per k, on the triples
     i < j < l of N 1-forms: C is K x M x N and F[m, a, b, ...] holds M 2-forms,
-    read on the pairs a < b, with any trailing axes carried along.  With the
+    read on the pairs a < b, with any trailing axes carried along; pairs,
+    triples and the place of (a, b) are `tensors.alt_index`'s.  With the
     one product A[(k, n), (a, b)] = sum_m C[k, m, n] F[m, a, b], row k on
     (i, j, l) is A[(k,l),(i,j)] + A[(k,i),(j,l)] - A[(k,j),(i,l)]."""
     (K, M, N), rest = C.shape, F.shape[3:]
-    a, b, place, i, j, l = _wedge_index(N)
+    ((a, b), place), (i, j, l) = alt_index(N, 2), alt_index(N, 3)[0]
     A = matmul(np.transpose(C, (0, 2, 1)).reshape(K * N, M), F[:, a, b].reshape(M, -1))
     A = A.reshape(K, N, len(a), *rest)
     return A[:, l, place[i, j]] + A[:, i, place[j, l]] - A[:, j, place[i, l]]

@@ -226,7 +226,8 @@ def k_from_frames(frames, bk=EXACT):
     with eps_s(x,y) = g(E_s x, y).  Returns (verdict, K): the verdict is the
     sp(1) closure of the triple together with the frame normalization test
     sum_s eps_s ^ eps_s = -(3/4) Omega, and K is None when it fails.
-    The g and omega terms are (3/8) Q, with Q = tensors.q_tensor.
+    The g and omega terms are (3/8) Q, with Q = tensors.q_tensor; Kmix is
+    read from the [u, b] blocks of Q and of the eps_s.
     """
     scale = max(max(tol_scale(E, bk) for E in frames) ** 2, 1.0)
     _check_frames(frames, bk, scale)
@@ -234,12 +235,8 @@ def k_from_frames(frames, bk=EXACT):
         return False, None
     if not all_zero(irrep.eps_wedge_residual(frames, bk), bk, scale=scale):
         return False, None
-
-    f = q_tensor(bk) * bk.rational(3, 8)
-    for E in frames:
-        e = irrep.lowered_2form(E, bk)
-        f = f + np.multiply.outer(e, e)
-    Kmix = f[np.ix_(range(4), range(4, 8), range(4), range(4, 8))]
+    e = np.stack([irrep.lowered_2form(E, bk)[:4, 4:] for E in frames])    # [u, b] blocks
+    Kmix = q_tensor(bk)[:4, 4:, :4, 4:] * bk.rational(3, 8) + tensordot(e, e, ([0], [0]))
     K = HKTensor(Kmix, bk)
     K.validate()
     return True, K

@@ -150,7 +150,7 @@ def run_orbit(bk, seed=0):
     pert = hk.HKTensor(K.Kmix + hk.kappa(orbit.random_quartic(seed + 7, bk)).Kmix,
                        bk)
     verdict, Kf = orbit.k_from_frames(list(irrep.script_e_frames(bk)), bk)
-    scaled = [F * bk.rational(2) for F in irrep.script_e_frames(bk)]
+    reducible = [sp2.endo_on_v(sp2.from_endo(R, bk), bk) for R in irrep.reducible_rep(bk)]
     return _judged(bk, [
         ("reference_operator_test", _cd(orbit.is_cd_theorem(K))),
         ("reference_coordinate_test", _cd(orbit.is_cd_coordinates(K))),
@@ -165,7 +165,7 @@ def run_orbit(bk, seed=0):
         ("perturbation_rejected", (not orbit.is_cd_coordinates(pert).verdict, 0.0)),
         ("frames_reconstruction", (verdict and Kf == K, 0.0)),
         ("frames_normalization_rejected",
-         (not orbit.k_from_frames(scaled, bk)[0], 0.0)),
+         (not orbit.k_from_frames(reducible, bk)[0], 0.0)),
         ("double_contraction_1", hk.contr_kxk_1_residual(K), 100.0),
         ("double_contraction_2", hk.contr_kxk_2_residual(K), 100.0),
     ])

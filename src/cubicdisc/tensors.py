@@ -13,9 +13,9 @@ object arrays of ExactScalar on exact, complex128 on float.  On complex128
 the conjugate, the norms and `tensordot` are numpy's own.  On exact, `split`
 gives a `scalars.ExactArray`: the contractions, `sym4`, `jmap4` and
 `conj_arr` keep it, `frob` and `all_zero` read it, and `asarray` joins it
-back into objects for callers that index, `@` or store.  `matmul`, the
-dense matrix product, multiplies only nonzero pairs on exact; the Casimir
-path multiplies dict rows instead (`linalg.row_product`).
+back into objects for callers that index, `@` or store; `matmul` is
+`linalg.row_product` on dict rows.  `sym_index` and `alt_index` give the
+independent components of symmetric arrays on W and of forms.
 """
 
 from functools import lru_cache
@@ -81,10 +81,9 @@ def tensordot(A, B, axes=2):
 
 
 def matmul(A, B):
-    """A @ B for two matrices.  On exact, row by row over the nonzeros only
-    (Gustavson 1978): each row of B is read once as its (column, value)
-    pairs, and A[i, k] * B[k, j] is formed only for nonzero A[i, k] and
-    B[k, j].  Entries come out in normal form, every zero the shared zero.
+    """A @ B for two matrices.  On exact, `linalg.row_product` of their dict
+    rows, written back into `zeros`: only nonzero pairs are multiplied, and
+    every zero is the shared zero.
 
     >>> from cubicdisc.scalars import EXACT as bk
     >>> A = asarray([[bk.i, bk.sqrt3], [bk.zero, bk.i]], bk)
@@ -96,15 +95,10 @@ def matmul(A, B):
     """
     if A.dtype != object:
         return A @ B
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
+    from .linalg import sparse_rows, row_product    # linalg imports tensors
     out = zeros((A.shape[0], B.shape[1]), EXACT)
-    for i, row in enumerate(A.tolist()):
-        acc = [EXACT.zero] * B.shape[1]
-        for a, nonzeros in zip(row, rows):
-            if a:
-                for j, b in nonzeros:
-                    acc[j] = acc[j] + a * b
-        out[i] = acc
+    for i, row in enumerate(row_product(sparse_rows(A), sparse_rows(B))):
+        out[i, list(row)] = list(row.values())
     return out
 
 
@@ -157,6 +151,27 @@ def sym_index(rank):
     flat = np.ravel_multi_index(np.sort(np.indices((4,) * rank), 0), (4,) * rank)
     first = np.flatnonzero(flat == np.arange(flat.size).reshape(flat.shape))
     return frozen((first, np.searchsorted(first, flat)))
+
+
+@lru_cache(maxsize=None)
+def alt_index(n, rank):
+    """The C sorted index tuples i_1 < ... < i_rank of an array alternating in
+    `rank` slots of length n, in itertools order as one row per slot; and at
+    each index tuple the place of its sorted one, + C if the sort is odd, 2C if
+    an index repeats, so np.take of [v, -v, 0] there reads components v in full.
+
+    >>> (i, j), place = alt_index(4, 2)
+    >>> i.tolist(), j.tolist(), int(place[0, 2]), int(place[2, 0]), int(place[1, 1])
+    ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], 1, 7, 12)
+    """
+    shape = (n,) * rank
+    idx = np.indices(shape).reshape(rank, -1)
+    srt = np.sort(idx, 0)
+    first = np.flatnonzero((np.diff(idx, axis=0) > 0).all(0))    # the sorted tuples
+    odd = sum(idx[a] > idx[b] for b in range(rank) for a in range(b)) % 2
+    place = np.searchsorted(first, np.ravel_multi_index(srt, shape)) + first.size * odd
+    place[(np.diff(srt, axis=0) == 0).any(0)] = 2 * first.size
+    return frozen((idx[:, first], place.reshape(shape)))
 
 
 @lru_cache(maxsize=None)

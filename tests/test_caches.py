@@ -12,7 +12,8 @@ from cubicdisc.scalars import EXACT, FLOAT, ExactArray, FloatBackend, get_backen
 from cubicdisc.suites import run_suite
 
 # The arguments of a cached function, where they are not its backend alone.
-ARGS = {"eye": lambda bk: (4, bk), "sym_index": lambda bk: (3,)}
+ARGS = {"eye": lambda bk: (4, bk), "sym_index": lambda bk: (3,),
+        "alt_index": lambda bk: (8, 4)}
 
 
 def cached_functions():

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubicdisc.scalars import EXACT, FLOAT, ExactScalar
-from cubicdisc.tensors import zeros, eye, frob, all_zero
+from cubicdisc.tensors import (zeros, eye, frob, all_zero, asarray, alt_index, g8mat,
+                               omega_forms)
 from cubicdisc import sp2, irrep, hk, linalg
 
 bk = EXACT
@@ -170,6 +172,72 @@ def test_frame_identities():
 def test_wedge_normalization():
     w = irrep.eps_wedge_residual(irrep.script_e_frames(bk), bk)
     assert all_zero(w, bk, scale=100.0)
+
+
+# -- the 70-component wedge against the full 8^4 route -----------------------
+
+
+def full_wedge2(a, b):
+    """The wedge of two 2-forms as the full 8^4 array: an outer product and
+    six transposed copies of it."""
+    t = np.multiply.outer(a, b)  # t[i,j,k,l] = a[i,j] b[k,l]
+
+    def pick(p):
+        return np.transpose(t, p)
+
+    return (pick((0, 1, 2, 3)) - pick((0, 2, 1, 3)) + pick((0, 2, 3, 1))
+            + pick((2, 3, 0, 1)) - pick((2, 0, 3, 1)) + pick((2, 0, 1, 3)))
+
+
+def full_eps_wedge_residual(frames, bk):
+    """sum_s eps_s ^ eps_s + (3/4) Omega on full 8^4 arrays, eps_s = E_s^T g."""
+    total = sum(full_wedge2(e, e) for e in (E.T @ g8mat(bk) for E in frames))
+    Om = sum(full_wedge2(om, om) for om in omega_forms(bk))
+    return total + Om * bk.rational(3, 4)
+
+
+def read_out(v, bk):
+    """The 70 components of a 4-form on V as its full alternating array."""
+    return np.take(np.concatenate([v, -v, asarray([bk.zero], bk)]), alt_index(8, 4)[1])
+
+
+def antisymmetric(entries, bk):
+    """The 8x8 antisymmetric array with `entries` above the diagonal."""
+    A = zeros((8, 8), bk)
+    i, j = np.triu_indices(8, 1)
+    A[i, j] = asarray(entries, bk)
+    return A - A.T
+
+
+small = st.one_of(st.just(EXACT.zero),
+                  st.builds(ExactScalar, *[st.fractions(-3, 3, max_denominator=4)] * 4))
+
+
+@given(st.lists(small, min_size=56, max_size=56))
+@settings(max_examples=25, deadline=None)
+def test_wedge_on_70_components_reads_out_as_full_wedge_exact(entries):
+    a, b = antisymmetric(entries[:28], bk), antisymmetric(entries[28:], bk)
+    assert irrep.wedge2(a, b).shape == (70,)
+    assert (read_out(irrep.wedge2(a, b), bk) == full_wedge2(a, b)).all()
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_wedge_on_70_components_reads_out_as_full_wedge_float(seed):
+    rng = np.random.default_rng(seed)
+    a, b = (antisymmetric(rng.standard_normal(28) + 1j * rng.standard_normal(28), FLOAT)
+            for _ in "ab")
+    assert np.allclose(read_out(irrep.wedge2(a, b), FLOAT), full_wedge2(a, b))
+
+
+@pytest.mark.parametrize("triple", ["script_e", "reducible"])
+def test_eps_wedge_residual_equals_full_route(triple):
+    frames = (irrep.script_e_frames(bk) if triple == "script_e" else
+              [sp2.endo_on_v(sp2.from_endo(R, bk), bk) for R in irrep.reducible_rep(bk)])
+    got = irrep.eps_wedge_residual(frames, bk)
+    assert got.shape == (8,) * 4
+    assert (got == full_eps_wedge_residual(frames, bk)).all()
+    assert all_zero(got, bk) == (triple == "script_e")
 
 
 def _count_rank_calls(monkeypatch):

@@ -33,7 +33,7 @@ def random_coframe(seed):
     rng = random.Random(seed)
     terms = zeros((models.N_FORMS,) * 3, bk)
     for k in range(models.N_FORMS):
-        for i, j in rng.sample(models.PAIRS, 6):
+        for i, j in rng.sample(list(itertools.combinations(range(models.N_FORMS), 2)), 6):
             i, j = (j, i) if rng.random() < 0.5 else (i, j)
             terms[k, i, j] = bk.scalar(rng.randint(1, 3),
                                        *(rng.randint(-2, 2) for _ in range(3)))

@@ -10,6 +10,7 @@ import pytest
 
 from cubicdisc.scalars import EXACT, FLOAT, ExactScalar, FloatBackend
 from cubicdisc import bianchi, irrep, models, suites
+from cubicdisc.tensors import all_zero
 
 # 10^-400 underflows to 0.0 as a float, so a float norm cannot see it.
 TINY = ExactScalar(Fraction(1, 10 ** 400))
@@ -65,6 +66,23 @@ def test_jacobi_and_closure_share_one_rule(monkeypatch, size, passed):
     for model in ("compact", "split"):
         verdicts = {_check(checks, p + model).passed for p in ("jacobi_", "closure_")}
         assert verdicts == {passed}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_orbit_suite_rejects_a_triple_at_the_normalization(monkeypatch, backend):
+    # frames_normalization_rejected passes a closed sp(1) frame triple, so
+    # its rejection comes from the wedge normalization, not an earlier step.
+    seen = []
+    wedge = irrep.eps_wedge_residual
+
+    def spy(frames, bk):
+        out = wedge(frames, bk)
+        seen.append(all_zero(out, bk))
+        return out
+
+    monkeypatch.setattr(irrep, "eps_wedge_residual", spy)
+    assert _check(suites.run_suite("orbit", backend), "frames_normalization_rejected").passed
+    assert seen.count(False) == 1
 
 
 def test_solution_structure_fails_on_tiny_residual(monkeypatch):

@@ -135,6 +135,31 @@ def test_object_arrays_are_built_only_in_tensors():
     assert hits <= {"tensors.py"}
 
 
+def _sort_parity(idx):
+    """The parity of the adjacent swaps that bubble-sort idx."""
+    idx, swaps = list(idx), 0
+    for end in range(len(idx) - 1, 0, -1):
+        for k in range(end):
+            if idx[k] > idx[k + 1]:
+                idx[k], idx[k + 1] = idx[k + 1], idx[k]
+                swaps += 1
+    return swaps % 2
+
+
+@pytest.mark.parametrize("n, rank", [(4, 2), (8, 3), (8, 4), (14, 3)])
+def test_alt_index_matches_combinations_and_sort_parity(n, rank):
+    tuples, place = tensors.alt_index(n, rank)
+    combos = list(itertools.combinations(range(n), rank))
+    assert tuples.T.tolist() == [list(c) for c in combos]
+    where = {c: k for k, c in enumerate(combos)}
+    for idx in itertools.product(range(n), repeat=rank):
+        if len(set(idx)) < rank:
+            want = 2 * len(combos)
+        else:
+            want = where[tuple(sorted(idx))] + len(combos) * _sort_parity(idx)
+        assert place[idx] == want, idx
+
+
 # -- the contraction kernel against element-wise numpy.tensordot -----------
 
 coeffs = st.one_of(
